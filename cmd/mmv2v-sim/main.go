@@ -19,14 +19,10 @@
 // -faults scales the standard fault profile (control loss, blockage bursts,
 // radio churn, slot jitter; see internal/faults) by the given intensity;
 // 0 (the default) is a clean channel. Trials are crash-isolated: a trial
-// that panics is retried -retry times and then reported on stderr as a
-// TrialError with a repro command, while the remaining trials still pool.
-//
-// -checkpoint <dir> makes every trial write a versioned, checksummed
-// snapshot of its full state after each completed measurement window; under
-// -retry, failed trials resume from their last snapshot instead of tick
-// zero, and -resume <file> re-runs one interrupted trial from its snapshot
-// (the other flags must reproduce the snapshot's scenario). -runlog <file>
+// that panics is re-executed from its seed up to -retry times and then
+// reported on stderr as a TrialError with a repro command, while the
+// remaining trials still pool. Every trial is a pure function of its seed,
+// so an interrupted run is recovered by running it again. -runlog <file>
 // records a replayable run log of the whole pooled run — re-render or
 // verify it with mmv2v-replay. See DESIGN.md §11.
 //
@@ -41,7 +37,7 @@
 // the path ends in .csv), one scope per protocol. -http <addr> serves live
 // run telemetry — /healthz, /metrics, /series, /progress and
 // /debug/pprof/ — while the run executes; it implies -series sampling
-// (which, like -stats, is part of the checkpoint fingerprint) but changes
+// (which, like -stats, is part of the scenario fingerprint) but changes
 // nothing on stdout. Under -drive the HTTP surface reports per-refresh
 // link-table gauges instead. See DESIGN.md §9 for the contract.
 package main
@@ -51,9 +47,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -67,46 +63,141 @@ func main() {
 	}
 }
 
+// options holds the parsed command line.
+type options struct {
+	density   float64
+	protocol  string
+	seed      uint64
+	trials    int
+	seconds   float64
+	windows   int
+	demand    float64
+	k, m, c   int
+	jsonOut   bool
+	traceOut  string
+	intensity float64
+	retry     int
+	statsOut  string
+	cpuOut    string
+	memOut    string
+	runlogOut string
+	worldKind string
+	gridRows  int
+	gridCols  int
+	gridBlock float64
+	gridVeh   int
+	driveSec  float64
+	refreshMs float64
+	seriesOut string
+	httpAddr  string
+}
+
+// bindFlags registers every command-line flag on fs and returns the options
+// they fill once fs is parsed.
+func bindFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.Float64Var(&o.density, "density", 15, "traffic density in vehicles/lane/km (paper: 15-30)")
+	fs.StringVar(&o.protocol, "protocol", "mmv2v", "protocol: mmv2v, rop, ad, oracle, all")
+	fs.Uint64Var(&o.seed, "seed", 1, "scenario seed")
+	fs.IntVar(&o.trials, "trials", 1, "independent trials to pool")
+	fs.Float64Var(&o.seconds, "seconds", 1, "measurement window length (s)")
+	fs.IntVar(&o.windows, "windows", 1, "number of consecutive windows")
+	fs.Float64Var(&o.demand, "demand", 200e6, "HRIE task demand per neighbor per window (bits)")
+	fs.IntVar(&o.k, "K", 3, "mmV2V discovery rounds")
+	fs.IntVar(&o.m, "M", 40, "mmV2V negotiation slots")
+	fs.IntVar(&o.c, "C", 7, "mmV2V CNS hash constant")
+	fs.BoolVar(&o.jsonOut, "json", false, "emit per-protocol summaries as JSON instead of a table")
+	fs.StringVar(&o.traceOut, "trace", "", "write protocol events as JSON Lines to this file")
+	fs.Float64Var(&o.intensity, "faults", 0, "fault-injection intensity: scales the standard stress profile (0 = clean channel, 1 = full profile)")
+	fs.IntVar(&o.retry, "retry", 0, "re-execute a failed trial from its seed up to this many times before recording it as lost")
+	fs.StringVar(&o.statsOut, "stats", "", "record per-layer statistics and write them to this file (CSV if the path ends in .csv, JSON Lines otherwise)")
+	fs.StringVar(&o.cpuOut, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	fs.StringVar(&o.memOut, "memprofile", "", "write a pprof heap profile at the end of the run to this file")
+	fs.StringVar(&o.runlogOut, "runlog", "", "write a replayable run log to this file (requires a single -protocol; verify or re-render it with mmv2v-replay)")
+	fs.StringVar(&o.worldKind, "world", "road", "mobility substrate: road (straight 1 km road) or grid (Manhattan road network)")
+	fs.IntVar(&o.gridRows, "rows", 0, "grid world: intersection rows (0 = 3 for protocol runs, 12 for -drive)")
+	fs.IntVar(&o.gridCols, "cols", 0, "grid world: intersection columns (0 = 3 for protocol runs, 12 for -drive)")
+	fs.Float64Var(&o.gridBlock, "block", 0, "grid world: block edge length in m (0 = 200 for protocol runs, 500 for -drive)")
+	fs.IntVar(&o.gridVeh, "grid-vehicles", 0, "grid world: vehicle count (0 = 240 for protocol runs, 10000 for -drive)")
+	fs.Float64Var(&o.driveSec, "drive", 0, "drive traffic + link refreshes for this many simulated seconds without a protocol (grid world scale mode)")
+	fs.Float64Var(&o.refreshMs, "refresh-ms", 100, "scale drive: link-table refresh period in simulated ms (traffic always steps at 5 ms)")
+	fs.StringVar(&o.seriesOut, "series", "", "sample per-layer statistics at every window boundary and write the per-window deltas to this file (CSV if the path ends in .csv, JSON Lines otherwise)")
+	fs.StringVar(&o.httpAddr, "http", "", "serve live run telemetry (/healthz /metrics /series /progress /debug/pprof/) on this address; implies -series sampling")
+	return o
+}
+
+// protocolNames lists the -protocol values in the order -protocol all runs
+// them.
+var protocolNames = []string{"mmv2v", "rop", "ad", "oracle"}
+
+// check enforces the flag-combination rules before anything runs. It reads
+// only the options, so every rule is table-tested without running a
+// simulation.
+func (o *options) check() error {
+	if o.worldKind != "road" && o.worldKind != "grid" {
+		return fmt.Errorf("unknown world %q (want road or grid)", o.worldKind)
+	}
+	if o.driveSec > 0 {
+		if o.worldKind != "grid" {
+			return fmt.Errorf("-drive requires -world grid")
+		}
+		if o.seriesOut != "" {
+			return fmt.Errorf("-drive runs no protocol and samples no registry; drop -series")
+		}
+		return nil
+	}
+	if o.intensity < 0 {
+		return fmt.Errorf("negative fault intensity %v", o.intensity)
+	}
+	if o.protocol != "all" && !slices.Contains(protocolNames, o.protocol) {
+		return fmt.Errorf("unknown protocol %q", o.protocol)
+	}
+	if o.runlogOut != "" {
+		if o.protocol == "all" {
+			return fmt.Errorf("-runlog needs a single -protocol, not all")
+		}
+		if o.statsOut != "" {
+			return fmt.Errorf("-runlog records metric tables, not the -stats registry; drop one of the two")
+		}
+		if o.seriesOut != "" || o.httpAddr != "" {
+			return fmt.Errorf("-runlog's recorded recipe cannot reproduce the series registry; drop -series/-http")
+		}
+	}
+	return nil
+}
+
+// scenario assembles the protocol-run scenario the options describe.
+func (o *options) scenario() mmv2v.ScenarioConfig {
+	cfg := mmv2v.DefaultScenario(o.density, o.seed)
+	if o.worldKind == "grid" {
+		grid := gridConfig(o.gridRows, o.gridCols, o.gridBlock, o.gridVeh, protocolGridDefaults)
+		cfg = mmv2v.GridScenario(grid, o.seed)
+	}
+	cfg.Stats = o.statsOut != ""
+	// -http implies the windowed series so /series and /metrics have data;
+	// both knobs are scenario-defining (fingerprint) like -stats.
+	cfg.Series = o.seriesOut != "" || o.httpAddr != ""
+	cfg.WindowSec = o.seconds
+	cfg.Windows = o.windows
+	cfg.DemandBits = o.demand
+	cfg.Retry = o.retry
+	if o.intensity > 0 {
+		profile := mmv2v.DefaultFaultConfig().Scale(o.intensity)
+		cfg.Faults = &profile
+	}
+	return cfg
+}
+
 func run() (err error) {
-	var (
-		density   = flag.Float64("density", 15, "traffic density in vehicles/lane/km (paper: 15-30)")
-		protocol  = flag.String("protocol", "mmv2v", "protocol: mmv2v, rop, ad, oracle, all")
-		seed      = flag.Uint64("seed", 1, "scenario seed")
-		trials    = flag.Int("trials", 1, "independent trials to pool")
-		seconds   = flag.Float64("seconds", 1, "measurement window length (s)")
-		windows   = flag.Int("windows", 1, "number of consecutive windows")
-		demand    = flag.Float64("demand", 200e6, "HRIE task demand per neighbor per window (bits)")
-		k         = flag.Int("K", 3, "mmV2V discovery rounds")
-		m         = flag.Int("M", 40, "mmV2V negotiation slots")
-		c         = flag.Int("C", 7, "mmV2V CNS hash constant")
-		jsonOut   = flag.Bool("json", false, "emit per-protocol summaries as JSON instead of a table")
-		traceOut  = flag.String("trace", "", "write protocol events as JSON Lines to this file")
-		intensity = flag.Float64("faults", 0, "fault-injection intensity: scales the standard stress profile (0 = clean channel, 1 = full profile)")
-		retry     = flag.Int("retry", 0, "re-run a failed trial up to this many times before recording it as lost")
-		statsOut  = flag.String("stats", "", "record per-layer statistics and write them to this file (CSV if the path ends in .csv, JSON Lines otherwise)")
-		cpuOut    = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memOut    = flag.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")
-		ckptDir   = flag.String("checkpoint", "", "directory for per-trial snapshots after every completed window; with -retry, failed trials resume from their last snapshot (per-protocol subdirectories under -protocol all)")
-		resumeCkp = flag.String("resume", "", "resume one trial from this snapshot file and report it alone (requires a single -protocol; flags must reproduce the snapshot's scenario)")
-		runlogOut = flag.String("runlog", "", "write a replayable run log to this file (requires a single -protocol; verify or re-render it with mmv2v-replay)")
-		worldKind = flag.String("world", "road", "mobility substrate: road (straight 1 km road) or grid (Manhattan road network)")
-		gridRows  = flag.Int("rows", 0, "grid world: intersection rows (0 = 3 for protocol runs, 12 for -drive)")
-		gridCols  = flag.Int("cols", 0, "grid world: intersection columns (0 = 3 for protocol runs, 12 for -drive)")
-		gridBlock = flag.Float64("block", 0, "grid world: block edge length in m (0 = 200 for protocol runs, 500 for -drive)")
-		gridVeh   = flag.Int("grid-vehicles", 0, "grid world: vehicle count (0 = 240 for protocol runs, 10000 for -drive)")
-		driveSec  = flag.Float64("drive", 0, "drive traffic + link refreshes for this many simulated seconds without a protocol (grid world scale mode)")
-		refreshMs = flag.Float64("refresh-ms", 100, "scale drive: link-table refresh period in simulated ms (traffic always steps at 5 ms)")
-		seriesOut = flag.String("series", "", "sample per-layer statistics at every window boundary and write the per-window deltas to this file (CSV if the path ends in .csv, JSON Lines otherwise)")
-		httpAddr  = flag.String("http", "", "serve live run telemetry (/healthz /metrics /series /progress /debug/pprof/) on this address; implies -series sampling")
-	)
+	o := bindFlags(flag.CommandLine)
 	flag.Parse()
-	if *worldKind != "road" && *worldKind != "grid" {
-		return fmt.Errorf("unknown world %q (want road or grid)", *worldKind)
+	if err := o.check(); err != nil {
+		return err
 	}
 	var srv *mmv2v.LiveServer
-	if *httpAddr != "" {
+	if o.httpAddr != "" {
 		srv = mmv2v.NewLiveServer()
-		addr, err := srv.Start(*httpAddr)
+		addr, err := srv.Start(o.httpAddr)
 		if err != nil {
 			return err
 		}
@@ -115,18 +206,12 @@ func run() (err error) {
 		defer func() { _ = srv.Close() }()
 		fmt.Fprintf(os.Stderr, "mmv2v-sim: live introspection on http://%s\n", addr)
 	}
-	if *driveSec > 0 {
-		if *worldKind != "grid" {
-			return fmt.Errorf("-drive requires -world grid")
-		}
-		if *seriesOut != "" {
-			return fmt.Errorf("-drive runs no protocol and samples no registry; drop -series")
-		}
-		return driveGrid(gridConfig(*gridRows, *gridCols, *gridBlock, *gridVeh, driveGridDefaults), *seed, *driveSec, *refreshMs, srv)
+	if o.driveSec > 0 {
+		return driveGrid(gridConfig(o.gridRows, o.gridCols, o.gridBlock, o.gridVeh, driveGridDefaults), o.seed, o.driveSec, o.refreshMs, srv)
 	}
 
-	if *cpuOut != "" {
-		f, err := os.Create(*cpuOut)
+	if o.cpuOut != "" {
+		f, err := os.Create(o.cpuOut)
 		if err != nil {
 			return err
 		}
@@ -140,28 +225,9 @@ func run() (err error) {
 		defer pprof.StopCPUProfile()
 	}
 
-	cfg := mmv2v.DefaultScenario(*density, *seed)
-	if *worldKind == "grid" {
-		grid := gridConfig(*gridRows, *gridCols, *gridBlock, *gridVeh, protocolGridDefaults)
-		cfg = mmv2v.GridScenario(grid, *seed)
-	}
-	cfg.Stats = *statsOut != ""
-	// -http implies the windowed series so /series and /metrics have data;
-	// both knobs are scenario-defining (fingerprint) like -stats.
-	cfg.Series = *seriesOut != "" || *httpAddr != ""
-	cfg.WindowSec = *seconds
-	cfg.Windows = *windows
-	cfg.DemandBits = *demand
-	cfg.Retry = *retry
-	if *intensity < 0 {
-		return fmt.Errorf("negative fault intensity %v", *intensity)
-	}
-	if *intensity > 0 {
-		profile := mmv2v.DefaultFaultConfig().Scale(*intensity)
-		cfg.Faults = &profile
-	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
+	cfg := o.scenario()
+	if o.traceOut != "" {
+		f, err := os.Create(o.traceOut)
 		if err != nil {
 			return err
 		}
@@ -176,9 +242,9 @@ func run() (err error) {
 	}
 
 	params := mmv2v.DefaultParams()
-	params.K = *k
-	params.M = *m
-	params.C = *c
+	params.K = o.k
+	params.M = o.m
+	params.C = o.c
 	if err := params.Validate(); err != nil {
 		return err
 	}
@@ -189,40 +255,18 @@ func run() (err error) {
 		"ad":     mmv2v.AD(mmv2v.DefaultADParams()),
 		"oracle": mmv2v.Oracle(params),
 	}
-	var names []string
-	if *protocol == "all" {
-		names = []string{"mmv2v", "rop", "ad", "oracle"}
-	} else {
-		if _, ok := factories[*protocol]; !ok {
-			return fmt.Errorf("unknown protocol %q", *protocol)
-		}
-		names = []string{*protocol}
-	}
-	if *resumeCkp != "" || *runlogOut != "" {
-		if len(names) > 1 {
-			return fmt.Errorf("-resume and -runlog need a single -protocol, not all")
-		}
-		if *resumeCkp != "" && *runlogOut != "" {
-			return fmt.Errorf("-resume replays one trial and cannot record a full run log")
-		}
-		if *resumeCkp != "" && *traceOut != "" {
-			return fmt.Errorf("-resume cannot reconstruct trace events of completed windows; drop -trace")
-		}
-		if *runlogOut != "" && *statsOut != "" {
-			return fmt.Errorf("-runlog records metric tables, not the -stats registry; drop one of the two")
-		}
-		if *runlogOut != "" && cfg.Series {
-			return fmt.Errorf("-runlog's recorded recipe cannot reproduce the series registry; drop -series/-http")
-		}
+	names := []string{o.protocol}
+	if o.protocol == "all" {
+		names = protocolNames
 	}
 
-	if !*jsonOut {
+	if !o.jsonOut {
 		if cfg.Grid != nil {
 			fmt.Printf("scenario: %dx%d grid, %.0f m blocks, %d vehicles, seed %d, %d trial(s) × %d window(s) × %.2f s, demand %.0f Mb/neighbor\n",
-				cfg.Grid.Rows, cfg.Grid.Cols, cfg.Grid.BlockM, cfg.Grid.Vehicles, *seed, *trials, *windows, *seconds, *demand/1e6)
+				cfg.Grid.Rows, cfg.Grid.Cols, cfg.Grid.BlockM, cfg.Grid.Vehicles, o.seed, o.trials, o.windows, o.seconds, o.demand/1e6)
 		} else {
 			fmt.Printf("scenario: %.0f vpl, seed %d, %d trial(s) × %d window(s) × %.2f s, demand %.0f Mb/neighbor\n",
-				*density, *seed, *trials, *windows, *seconds, *demand/1e6)
+				o.density, o.seed, o.trials, o.windows, o.seconds, o.demand/1e6)
 		}
 		fmt.Printf("%-10s %-8s %-8s %-8s %-8s %-10s\n", "protocol", "OCR", "ATP", "DTP", "avg |N|", "DES events")
 	}
@@ -239,8 +283,8 @@ func run() (err error) {
 	var statsRows []mmv2v.StatsRow
 	var seriesRows []mmv2v.SeriesRow
 	if srv != nil {
-		totalTrials := len(names) * *trials
-		srv.SetTotals(len(names), totalTrials, totalTrials*(*windows))
+		totalTrials := len(names) * o.trials
+		srv.SetTotals(len(names), totalTrials, totalTrials*o.windows)
 	}
 	for _, name := range names {
 		pcfg := cfg
@@ -250,31 +294,20 @@ func run() (err error) {
 			srv.StartRun(name)
 			pcfg.Monitor = srv
 		}
-		if *ckptDir != "" {
-			pcfg.Checkpoint = *ckptDir
-			if len(names) > 1 {
-				// Checkpoint files are keyed by trial index alone; give each
-				// protocol its own directory so they cannot collide.
-				pcfg.Checkpoint = filepath.Join(*ckptDir, name)
-			}
-		}
 		var res *mmv2v.Result
 		var err error
-		switch {
-		case *resumeCkp != "":
-			res, err = mmv2v.Resume(pcfg, factories[name], *resumeCkp)
-		case *runlogOut != "":
-			res, err = mmv2v.RunTrialsLogged(pcfg, factories[name], *trials, runLogHeader(name, cfg, *density, *seed, *trials, *seconds, *windows, *demand, *intensity, *k, *m, *c), *runlogOut)
-		default:
-			res, err = mmv2v.RunTrials(pcfg, factories[name], *trials)
+		if o.runlogOut != "" {
+			res, err = mmv2v.RunTrialsLogged(pcfg, factories[name], o.trials, runLogHeader(name, cfg, o), o.runlogOut)
+		} else {
+			res, err = mmv2v.RunTrials(pcfg, factories[name], o.trials)
 		}
 		if err != nil {
 			return err
 		}
-		if *statsOut != "" {
+		if o.statsOut != "" {
 			statsRows = append(statsRows, mmv2v.StatsRows(res.Obs, res.Protocol)...)
 		}
-		if *seriesOut != "" {
+		if o.seriesOut != "" {
 			seriesRows = append(seriesRows, mmv2v.SeriesRows(res.Series.Points(), res.Protocol)...)
 		}
 		if srv != nil {
@@ -285,12 +318,12 @@ func run() (err error) {
 		}
 		if res.Retried > 0 || len(res.Failures) > 0 {
 			fmt.Fprintf(os.Stderr, "mmv2v-sim: %s: %d/%d trial(s) pooled (%d retried, %d lost)\n",
-				res.Protocol, res.Trials, *trials, res.Retried, len(res.Failures))
+				res.Protocol, res.Trials, o.trials, res.Retried, len(res.Failures))
 		}
-		if *jsonOut {
+		if o.jsonOut {
 			rows = append(rows, jsonRow{
 				Protocol:     res.Protocol,
-				DensityVPL:   *density,
+				DensityVPL:   o.density,
 				OCR:          res.Summary.MeanOCR,
 				ATP:          res.Summary.MeanATP,
 				DTP:          res.Summary.MeanDTP,
@@ -303,43 +336,43 @@ func run() (err error) {
 			res.Protocol, res.Summary.MeanOCR, res.Summary.MeanATP, res.Summary.MeanDTP,
 			res.AvgNeighbors, res.Events)
 	}
-	if *jsonOut {
+	if o.jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rows); err != nil {
 			return err
 		}
 	}
-	if *statsOut != "" {
-		if err := writeStats(*statsOut, statsRows, *jsonOut); err != nil {
+	if o.statsOut != "" {
+		if err := writeStats(o.statsOut, statsRows, o.jsonOut); err != nil {
 			return err
 		}
 	}
-	if *seriesOut != "" {
-		if err := writeSeries(*seriesOut, seriesRows); err != nil {
+	if o.seriesOut != "" {
+		if err := writeSeries(o.seriesOut, seriesRows); err != nil {
 			return err
 		}
 	}
-	return writeMemProfile(*memOut)
+	return writeMemProfile(o.memOut)
 }
 
 // runLogHeader assembles the run-log scenario recipe from the CLI flags;
 // RunTrialsLogged cross-checks it against the running config's fingerprint
 // before simulating anything, so a recipe that would not replay this run
 // fails loudly up front.
-func runLogHeader(protocol string, cfg mmv2v.ScenarioConfig, density float64, seed uint64, trials int, seconds float64, windows int, demand, intensity float64, k, m, c int) mmv2v.RunLogHeader {
+func runLogHeader(protocol string, cfg mmv2v.ScenarioConfig, o *options) mmv2v.RunLogHeader {
 	h := mmv2v.RunLogHeader{
 		Protocol:       protocol,
-		K:              k,
-		M:              m,
-		C:              c,
-		DensityVPL:     density,
-		Seed:           seed,
-		Trials:         trials,
-		WindowSec:      seconds,
-		Windows:        windows,
-		DemandBits:     demand,
-		FaultIntensity: intensity,
+		K:              o.k,
+		M:              o.m,
+		C:              o.c,
+		DensityVPL:     o.density,
+		Seed:           o.seed,
+		Trials:         o.trials,
+		WindowSec:      o.seconds,
+		Windows:        o.windows,
+		DemandBits:     o.demand,
+		FaultIntensity: o.intensity,
 	}
 	if cfg.Grid != nil {
 		h.Grid = true

@@ -1,12 +1,11 @@
 // Package persist is the deterministic persistence substrate (DESIGN.md
-// §11): a little-endian binary codec plus two checksummed container
-// formats — a versioned snapshot frame for checkpoint files and an
-// append-only record log for run logs.
+// §11): a little-endian binary codec plus a checksummed, append-only record
+// log for run logs.
 //
 // The package is deliberately stdlib-only and knows nothing about the
-// simulator: every layer (traffic, world, faults, metrics, obs, protocols,
-// sim) encodes its own state through an Encoder and restores it through a
-// Decoder. The decoder is hostile-input safe by construction: every read is
+// simulator: the run log encodes its header, window results and trial
+// tails through an Encoder and reads them back through a Decoder. The
+// decoder is hostile-input safe by construction: every read is
 // bounds-checked, every length prefix is validated against the bytes that
 // remain, the first failure latches and all subsequent reads return zero
 // values. Corrupted input yields a structured error, never a panic.
@@ -217,49 +216,6 @@ func (d *Decoder) Count(minElemBytes int) int {
 	return n
 }
 
-// Snapshot frame: magic, format version, payload length, CRC-32
-// (Castagnoli) of the payload, payload bytes.
-const (
-	snapshotMagic   = "MMV2VSNP"
-	SnapshotVersion = 1
-	snapshotHdrLen  = 8 + 4 + 8 + 4
-)
-
-// EncodeSnapshot wraps a payload in the versioned, checksummed snapshot
-// frame.
-func EncodeSnapshot(payload []byte) []byte {
-	var e Encoder
-	e.buf = append(e.buf, snapshotMagic...)
-	e.U32(SnapshotVersion)
-	e.U64(uint64(len(payload)))
-	e.U32(crc32c(payload))
-	e.buf = append(e.buf, payload...)
-	return e.buf
-}
-
-// DecodeSnapshot validates a snapshot frame and returns its payload.
-func DecodeSnapshot(b []byte) ([]byte, error) {
-	if len(b) < snapshotHdrLen {
-		return nil, fmt.Errorf("%w: %d-byte input shorter than snapshot header", ErrTruncated, len(b))
-	}
-	if string(b[:8]) != snapshotMagic {
-		return nil, fmt.Errorf("%w: want %q", ErrMagic, snapshotMagic)
-	}
-	v := binary.LittleEndian.Uint32(b[8:12])
-	if v != SnapshotVersion {
-		return nil, fmt.Errorf("%w: snapshot version %d (this build reads %d)", ErrVersion, v, SnapshotVersion)
-	}
-	n := binary.LittleEndian.Uint64(b[12:20])
-	if n != uint64(len(b)-snapshotHdrLen) {
-		return nil, fmt.Errorf("%w: header declares %d payload bytes, frame carries %d", ErrTruncated, n, len(b)-snapshotHdrLen)
-	}
-	payload := b[snapshotHdrLen:]
-	if got, want := crc32c(payload), binary.LittleEndian.Uint32(b[20:24]); got != want {
-		return nil, fmt.Errorf("%w: payload CRC %08x, header says %08x", ErrChecksum, got, want)
-	}
-	return payload, nil
-}
-
 // Record log: magic, format version, then a sequence of records, each
 // [type u8][len u32][crc u32][payload]. The log is append-only; a crash
 // mid-append leaves a short or checksum-broken tail, which ReadLog
@@ -335,7 +291,7 @@ func ReadLog(b []byte) (recs []Record, truncated bool, err error) {
 }
 
 // WriteFileAtomic writes data to path via a same-directory temp file and
-// rename, so readers never observe a half-written snapshot and a crash
+// rename, so readers never observe a half-written file and a crash
 // mid-write leaves the previous file intact.
 func WriteFileAtomic(path string, data []byte) error {
 	dir, base := filepath.Split(path)

@@ -137,19 +137,6 @@ func (r *Runner) RunTrialsEach(cfg Config, factory Factory, trials int, each fun
 				retriedMu.Lock()
 				retried++
 				retriedMu.Unlock()
-				// With checkpointing on, retry from the trial's last good
-				// snapshot instead of tick zero — the resumed result is
-				// byte-identical to an uninterrupted run. A missing or
-				// corrupt snapshot (crash before the first window, torn
-				// file) falls back to a scratch re-run; traced runs always
-				// re-run from scratch because completed windows' events
-				// cannot be reconstructed.
-				if c.Checkpoint != "" && cfg.Trace == nil {
-					if rres, rerr := resumeIsolated(c, factory, CheckpointPath(c.Checkpoint, tr)); rerr == nil {
-						res, err = rres, nil
-						break
-					}
-				}
 			}
 			// Each attempt traces into a fresh private capture so a
 			// retried crash leaves no partial events behind; only the
@@ -167,18 +154,12 @@ func (r *Runner) RunTrialsEach(cfg Config, factory Factory, trials int, each fun
 		}
 		if err != nil {
 			te := &TrialError{
-				Scenario:   scenarioLabel(c),
-				DensityVPL: c.Traffic.DensityVPL,
-				BaseSeed:   cfg.Seed,
-				Trial:      tr,
-				Seed:       c.Seed,
-				FaultsOn:   c.Faults != nil && c.Faults.Enabled(),
-				Err:        err,
-			}
-			if c.Checkpoint != "" {
-				if p := CheckpointPath(c.Checkpoint, tr); fileExists(p) {
-					te.Checkpoint = p
-				}
+				Scenario: scenarioLabel(c),
+				BaseSeed: cfg.Seed,
+				Trial:    tr,
+				Seed:     c.Seed,
+				Err:      err,
+				cfg:      cfg,
 			}
 			var pe *PanicError
 			if errors.As(err, &pe) {

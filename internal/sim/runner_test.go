@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mmv2v/internal/sim"
+	"mmv2v/internal/traffic"
 	"mmv2v/internal/xrand"
 )
 
@@ -214,5 +215,51 @@ func TestConfigValidateRejectsNegativeWorkers(t *testing.T) {
 	cfg.Workers = -1
 	if err := cfg.Validate(); err == nil {
 		t.Error("negative Workers should fail validation")
+	}
+}
+
+// TestTrialErrorReproNamesScenario pins the repro line, the one path back
+// to a failed trial: it must re-create the failing scenario — the grid
+// geometry for a grid run, and every non-default window or demand flag —
+// not just the road density.
+func TestTrialErrorReproNamesScenario(t *testing.T) {
+	windowed := sim.DefaultConfig(20, 3)
+	windowed.WindowSec = 0.2
+	windowed.Windows = 3
+	windowed.DemandBits = 100e6
+	grid := traffic.DefaultGridConfig(240)
+	grid.Rows, grid.Cols, grid.BlockM = 3, 3, 200
+	gridCfg := sim.DefaultConfig(15, 9)
+	gridCfg.Grid = &grid
+	for _, tc := range []struct {
+		name     string
+		cfg      sim.Config
+		repro    string
+		scenario string
+	}{
+		{"road default", sim.DefaultConfig(10, 5),
+			"go run ./cmd/mmv2v-sim -density 10 -seed 5 -trials 1",
+			"density=10 vpl, 1×1s windows, demand 200 Mb"},
+		{"road 3 windows", windowed,
+			"go run ./cmd/mmv2v-sim -density 20 -seed 3 -trials 1 -seconds 0.2 -windows 3 -demand 1e+08",
+			"density=20 vpl, 3×0.2s windows, demand 100 Mb"},
+		{"grid", gridCfg,
+			"go run ./cmd/mmv2v-sim -world grid -rows 3 -cols 3 -block 200 -grid-vehicles 240 -seed 9 -trials 1",
+			"grid 3x3, 200 m blocks, 240 vehicles, 1×1s windows, demand 200 Mb"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			factory := func(*sim.Env) sim.Protocol { panic("always down") }
+			_, err := sim.RunTrials(tc.cfg, sim.Factory(factory), 1)
+			var te *sim.TrialError
+			if !errors.As(err, &te) {
+				t.Fatalf("err = %v, want a TrialError", err)
+			}
+			if got := te.Repro(); got != tc.repro {
+				t.Errorf("Repro =\n  %s\nwant\n  %s", got, tc.repro)
+			}
+			if te.Scenario != tc.scenario {
+				t.Errorf("Scenario = %q, want %q", te.Scenario, tc.scenario)
+			}
+		})
 	}
 }

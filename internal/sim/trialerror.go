@@ -10,7 +10,6 @@ package sim
 
 import (
 	"fmt"
-	"os"
 	"runtime/debug"
 	"strings"
 )
@@ -20,25 +19,21 @@ import (
 type TrialError struct {
 	// Scenario is a human-readable summary of the failing configuration.
 	Scenario string
-	// DensityVPL and BaseSeed echo the scenario inputs the repro command
-	// needs; Trial is the failing index and Seed the derived per-trial
-	// scenario seed (Seed = xrand.Mix(BaseSeed, Trial)).
-	DensityVPL float64
-	BaseSeed   uint64
-	Trial      int
-	Seed       uint64
-	// FaultsOn records whether fault injection was active in the run.
-	FaultsOn bool
-	// Checkpoint is the failing trial's last good snapshot file, when
-	// Config.Checkpoint was set and a snapshot had been written; the repro
-	// command resumes from it so the crash reproduces from the last window
-	// boundary instead of replaying the whole trial.
-	Checkpoint string
+	// BaseSeed is the pooled run's seed; Trial is the failing index and
+	// Seed the derived per-trial scenario seed
+	// (Seed = xrand.Mix(BaseSeed, Trial)).
+	BaseSeed uint64
+	Trial    int
+	Seed     uint64
 	// Err is the underlying failure; a recovered panic is wrapped as a
 	// PanicError. Stack is the goroutine stack captured at recovery
 	// (empty when the trial returned an ordinary error).
 	Err   error
 	Stack string
+
+	// cfg is the pooled run's scenario (Seed = BaseSeed), the source of
+	// the repro command's flags.
+	cfg Config
 }
 
 // Error renders the failure with its repro command; the stack is available
@@ -51,19 +46,39 @@ func (e *TrialError) Error() string {
 // Unwrap exposes the underlying failure to errors.Is/As.
 func (e *TrialError) Unwrap() error { return e.Err }
 
-// Repro returns a one-line command that deterministically replays the
-// failing trial (trials 0..Trial re-run; all are pure functions of the
-// seed, so the crash reproduces on the last one).
+// Repro returns a one-line mmv2v-sim command that deterministically
+// re-executes the failing trial: trials 0..Trial re-run, and each is a pure
+// function of (scenario, derived seed), so the crash recurs on the last
+// one. The scenario flags (-world grid geometry or -density, and any
+// non-default -seconds/-windows/-demand) reproduce the failing config; a
+// fault profile is named but cannot be inverted back to its intensity.
 func (e *TrialError) Repro() string {
-	cmd := fmt.Sprintf("go run ./cmd/mmv2v-sim -density %g -seed %d -trials %d",
-		e.DensityVPL, e.BaseSeed, e.Trial+1)
-	if e.Checkpoint != "" {
-		cmd += fmt.Sprintf(" -resume %s", e.Checkpoint)
+	c := e.cfg
+	var b strings.Builder
+	b.WriteString("go run ./cmd/mmv2v-sim")
+	if c.Grid != nil {
+		fmt.Fprintf(&b, " -world grid -rows %d -cols %d -block %g -grid-vehicles %d",
+			c.Grid.Rows, c.Grid.Cols, c.Grid.BlockM, c.Grid.Vehicles)
+	} else {
+		fmt.Fprintf(&b, " -density %g", c.Traffic.DensityVPL)
 	}
-	if e.FaultsOn {
-		cmd += " -faults <intensity>  # re-apply this run's FaultConfig"
+	fmt.Fprintf(&b, " -seed %d -trials %d", e.BaseSeed, e.Trial+1)
+	def := DefaultConfig(c.Traffic.DensityVPL, c.Seed)
+	//mmv2v:exact repro flags are emitted only when they differ from the CLI default bit for bit
+	if c.WindowSec != def.WindowSec {
+		fmt.Fprintf(&b, " -seconds %g", c.WindowSec)
 	}
-	return cmd
+	if c.Windows != def.Windows {
+		fmt.Fprintf(&b, " -windows %d", c.Windows)
+	}
+	//mmv2v:exact repro flags are emitted only when they differ from the CLI default bit for bit
+	if c.DemandBits != def.DemandBits {
+		fmt.Fprintf(&b, " -demand %g", c.DemandBits)
+	}
+	if c.Faults != nil && c.Faults.Enabled() {
+		b.WriteString(" -faults <intensity>  # re-apply this run's FaultConfig")
+	}
+	return b.String()
 }
 
 // PanicError wraps a value recovered from a panicking trial so it can
@@ -86,28 +101,15 @@ func runIsolated(cfg Config, factory Factory) (res *Result, err error) {
 	return Run(cfg, factory)
 }
 
-// resumeIsolated resumes one trial from a snapshot with panics converted
-// into PanicErrors (a deterministic crash recurs on resume just as it
-// would on a scratch re-run).
-func resumeIsolated(cfg Config, factory Factory, path string) (res *Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = &PanicError{Value: p, Stack: string(debug.Stack())}
-		}
-	}()
-	return Resume(cfg, factory, path)
-}
-
-// fileExists reports whether path names an existing file.
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
-}
-
 // scenarioLabel summarizes a config for TrialError messages.
 func scenarioLabel(cfg Config) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "density=%g vpl, %d×%gs windows", cfg.Traffic.DensityVPL, cfg.Windows, cfg.WindowSec)
+	if cfg.Grid != nil {
+		fmt.Fprintf(&b, "grid %dx%d, %g m blocks, %d vehicles", cfg.Grid.Rows, cfg.Grid.Cols, cfg.Grid.BlockM, cfg.Grid.Vehicles)
+	} else {
+		fmt.Fprintf(&b, "density=%g vpl", cfg.Traffic.DensityVPL)
+	}
+	fmt.Fprintf(&b, ", %d×%gs windows, demand %g Mb", cfg.Windows, cfg.WindowSec, cfg.DemandBits/1e6)
 	if cfg.Faults != nil && cfg.Faults.Enabled() {
 		b.WriteString(", faults on")
 	}

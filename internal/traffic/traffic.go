@@ -229,14 +229,14 @@ type Vehicle struct {
 // Road is a running traffic simulation. Create with New; not safe for
 // concurrent use.
 type Road struct {
-	cfg      Config //mmv2v:derived construction parameter re-supplied by the restore caller
+	cfg      Config
 	vehicles []*Vehicle
 	rng      *xrand.Source
 	// groups[0] (westbound) and groups[1] (eastbound) hold the per-direction
 	// vehicle lists sorted by S for leader lookups. They are scratch, rebuilt
 	// from vehicles at the top of every Step; the backing arrays are reused
 	// so the steady-state mobility tick allocates nothing.
-	groups  [2][]*Vehicle //mmv2v:derived per-step sort scratch; rebuilt from vehicles at the top of every Step
+	groups  [2][]*Vehicle
 	elapsed float64
 }
 

@@ -139,19 +139,6 @@ func RunTrials(cfg ScenarioConfig, f Factory, trials int) (*Result, error) {
 	return sim.RunTrials(cfg, f, trials)
 }
 
-// Resume continues a single trial from a snapshot file written under
-// ScenarioConfig.Checkpoint, producing a Result byte-identical to the run
-// the interrupted trial would have produced (DESIGN.md §11). cfg must
-// describe the same scenario the snapshot was taken under; the snapshot's
-// stored per-trial seed overrides cfg.Seed.
-func Resume(cfg ScenarioConfig, f Factory, path string) (*Result, error) {
-	return sim.Resume(cfg, f, path)
-}
-
-// CheckpointPath returns the snapshot file a given trial writes inside a
-// checkpoint directory (ScenarioConfig.Checkpoint).
-func CheckpointPath(dir string, trial int) string { return sim.CheckpointPath(dir, trial) }
-
 // Direction of travel for custom scenarios.
 type Direction = traffic.Direction
 
