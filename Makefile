@@ -85,13 +85,15 @@ city:
 replay:
 	$(GO) run ./cmd/mmv2v-replay -verify testdata/golden.runlog
 
-# Short fuzzing pass over the geometry, channel, spatial-index and
+# Short fuzzing pass over the geometry, channel, spatial-index, medium and
 # run-log decoding kernels (mirrors CI).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentBlocked -fuzztime=10s ./internal/geom/
+	$(GO) test -run='^$$' -fuzz=FuzzAngleDiff -fuzztime=10s ./internal/geom/
 	$(GO) test -run='^$$' -fuzz=FuzzSINR -fuzztime=10s ./internal/channel/
 	$(GO) test -run='^$$' -fuzz=FuzzCellCoord -fuzztime=10s ./internal/world/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeLog -fuzztime=10s ./internal/persist/
+	$(GO) test -run='^$$' -fuzz=FuzzDeliverGroup -fuzztime=10s ./internal/medium/
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -18,6 +18,7 @@ import (
 	"mmv2v/internal/sim"
 	"mmv2v/internal/udt"
 	"mmv2v/internal/units"
+	"mmv2v/internal/xrand"
 )
 
 // discovery is what a vehicle learned about a peer from received sweeps.
@@ -125,6 +126,9 @@ type ROP struct {
 	frame    int
 	frameEnd des.Time
 	session  *udt.Session
+	// draw is the reusable per-(vehicle, slot) child stream, re-derived in
+	// place for each draw instead of allocating a fresh Child.
+	draw xrand.Source
 
 	// Statistics handles (nil-safe no-ops when Env.Obs is nil).
 	obsSweepTx     *obs.Counter
@@ -230,9 +234,9 @@ func (r *ROP) discoverSlot(k int) {
 	}
 	var txs []txPlan
 	for i := 0; i < n; i++ {
-		rng := r.env.Rand.Child("rop.slot", uint64(i), uint64(r.frame), uint64(k))
-		sector := rng.Intn(cb.Sectors.Count)
-		if rng.Bool(r.cfg.RoleP) {
+		r.draw.Rederive(r.env.Rand, "rop.slot", uint64(i), uint64(r.frame), uint64(k))
+		sector := r.draw.Intn(cb.Sectors.Count)
+		if r.draw.Bool(r.cfg.RoleP) {
 			txs = append(txs, txPlan{i: i, sector: sector})
 			r.env.Medium.StopListen(i)
 		} else {
@@ -311,8 +315,8 @@ func (r *ROP) matchRound(m int) {
 		if len(filtered) == 0 {
 			continue
 		}
-		rng := r.env.Rand.Child("rop.pick", uint64(i), uint64(r.frame), uint64(m))
-		r.pick[i] = filtered[rng.Intn(len(filtered))]
+		r.draw.Rederive(r.env.Rand, "rop.pick", uint64(i), uint64(r.frame), uint64(m))
+		r.pick[i] = filtered[r.draw.Intn(len(filtered))]
 	}
 	for i := 0; i < n; i++ {
 		j := r.pick[i]

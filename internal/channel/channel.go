@@ -216,26 +216,33 @@ func OmniPattern() Pattern {
 	return Pattern{Width: 2 * math.Pi, G1: 1, G2: 1, Theta1: 0}
 }
 
-// PatternCache memoizes patterns by beam width; the simulator uses only a
-// handful of widths (α, β, θ_min, quasi-omni) but evaluates gains millions
-// of times.
+// PatternCache memoizes patterns by beam width. The simulator uses only a
+// handful of widths (α, β, θ_min, quasi-omni), so a linear scan of a short
+// slice beats hashing a float key. Callers resolve a beam's pattern once
+// per transmission or receive aim and keep the returned handle, not once
+// per gain evaluation.
 type PatternCache struct {
 	sideLobe units.DB
-	byWidth  map[units.Radian]Pattern
+	patterns []*Pattern
 }
 
 // NewPatternCache builds a cache with the given side-lobe level.
 func NewPatternCache(sideLobe units.DB) *PatternCache {
-	return &PatternCache{sideLobe: sideLobe, byWidth: make(map[units.Radian]Pattern)}
+	return &PatternCache{sideLobe: sideLobe}
 }
 
-// Get returns the pattern for a beam width, deriving it on first use.
-func (c *PatternCache) Get(width units.Radian) Pattern {
-	if p, ok := c.byWidth[width]; ok {
-		return p
+// Get returns the pattern for a beam width, deriving it on first use. The
+// handle is shared and never mutated, so holders may keep it for as long
+// as they like: every call with the same width returns the same pointer.
+func (c *PatternCache) Get(width units.Radian) *Pattern {
+	for _, p := range c.patterns {
+		//mmv2v:exact memoization key: a width is reused only for bit-identical beam widths
+		if p.Width == width {
+			return p
+		}
 	}
 	p := NewPattern(width, c.sideLobe)
-	//mmv2v:alloc memoization miss: each distinct beam width is derived and inserted once per run
-	c.byWidth[width] = p
-	return p
+	//mmv2v:alloc memoization miss: each distinct beam width is derived and appended once per run
+	c.patterns = append(c.patterns, &p)
+	return &p
 }

@@ -91,8 +91,8 @@ func (p *Protocol) dcmSlotBegin(m int) {
 			p.negPeer[i] = inBucket[0]
 		default:
 			// Hash collision or small C: pick one at random (Sec. III-C1).
-			pick := p.env.Rand.Child("mmv2v.dcm.pick", uint64(i), uint64(p.frame), uint64(m))
-			p.negPeer[i] = inBucket[pick.Intn(len(inBucket))]
+			p.draw.Rederive(p.env.Rand, "mmv2v.dcm.pick", uint64(i), uint64(p.frame), uint64(m))
+			p.negPeer[i] = inBucket[p.draw.Intn(len(inBucket))]
 		}
 	}
 	// First half: larger ID transmits, peer listens (footnote 1: "the

@@ -9,6 +9,7 @@ import (
 	"mmv2v/internal/obs"
 	"mmv2v/internal/sim"
 	"mmv2v/internal/units"
+	"mmv2v/internal/xrand"
 )
 
 // neighborInfo is what a vehicle knows about a discovered neighbor.
@@ -53,6 +54,9 @@ type Protocol struct {
 	frame    int
 	frameEnd des.Time
 	udt      udtState
+	// draw is the reusable per-(vehicle, round) child stream, re-derived
+	// in place for each draw instead of allocating a fresh Child.
+	draw xrand.Source
 	// slotObserver, when set, is invoked after every DCM negotiation slot
 	// (experiment instrumentation, e.g. Fig. 6's capacity-vs-slots curve).
 	slotObserver func(frame, slot int)

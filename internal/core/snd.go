@@ -102,8 +102,8 @@ func (p *Protocol) sndSweepOne(i, half, sector int) {
 // is a private per-(vehicle, frame, round) stream — no coordination.
 func (p *Protocol) selectRoles(round int) {
 	for i := 0; i < p.env.N(); i++ {
-		coin := p.env.Rand.Child("mmv2v.role", uint64(i), uint64(p.frame), uint64(round))
-		p.roleTx[i] = coin.Bool(p.cfg.P)
+		p.draw.Rederive(p.env.Rand, "mmv2v.role", uint64(i), uint64(p.frame), uint64(round))
+		p.roleTx[i] = p.draw.Bool(p.cfg.P)
 	}
 }
 

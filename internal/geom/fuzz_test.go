@@ -80,3 +80,40 @@ func FuzzSegmentIntersectsRectSymmetry(f *testing.F) {
 		}
 	})
 }
+
+// angleDiffMod is AngleDiff as it was written before the in-range fast
+// path: an unconditional math.Mod reduction.
+func angleDiffMod(a, b Bearing) float64 {
+	d := math.Mod(float64(b-a), 2*math.Pi)
+	switch {
+	case d > math.Pi:
+		d -= 2 * math.Pi
+	case d <= -math.Pi:
+		d += 2 * math.Pi
+	}
+	return d
+}
+
+// FuzzAngleDiff requires AngleDiff to match the unconditional math.Mod form
+// bit for bit on every input, non-finite and signed-zero operands included:
+// the fast path may only skip a reduction that is the identity.
+func FuzzAngleDiff(f *testing.F) {
+	twoPi := 2 * math.Pi
+	for _, v := range []float64{0, math.Copysign(0, -1), math.Pi, -math.Pi, twoPi, -twoPi,
+		math.Nextafter(twoPi, 0), math.Nextafter(-twoPi, 0), math.Nextafter(twoPi, 7),
+		3 * math.Pi, -3 * math.Pi, 1e300, math.Inf(1), math.Inf(-1), math.NaN()} {
+		f.Add(0.0, v)
+		f.Add(v, 0.0)
+		f.Add(math.Copysign(0, -1), v)
+	}
+	f.Add(math.Pi, -math.Pi)
+	f.Add(6.0, 0.1)
+	f.Add(math.Inf(1), math.Inf(1))
+	f.Fuzz(func(t *testing.T, a, b float64) {
+		got := math.Float64bits(AngleDiff(Bearing(a), Bearing(b)).Rad())
+		want := math.Float64bits(angleDiffMod(Bearing(a), Bearing(b)))
+		if got != want {
+			t.Fatalf("AngleDiff(%v, %v) bits %#x, math.Mod form %#x", a, b, got, want)
+		}
+	})
+}

@@ -62,9 +62,16 @@ func NormalizeBearing(b Bearing) Bearing {
 }
 
 // AngleDiff returns the signed smallest rotation from bearing a to bearing b,
-// in (-π, π]. Positive means b is clockwise of a.
+// in (-π, π]. Positive means b is clockwise of a. The difference of two
+// normalized bearings already lies strictly inside (-2π, 2π), where
+// math.Mod is the identity (sign of zero included), so only the rare
+// out-of-range, infinite or NaN operand pays for the reduction; the result
+// is bit-identical to reducing unconditionally (FuzzAngleDiff).
 func AngleDiff(a, b Bearing) units.Radian {
-	d := math.Mod(float64(b-a), 2*math.Pi)
+	d := float64(b - a)
+	if !(d > -2*math.Pi && d < 2*math.Pi) {
+		d = math.Mod(d, 2*math.Pi)
+	}
 	switch {
 	case d > math.Pi:
 		d -= 2 * math.Pi

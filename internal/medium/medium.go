@@ -50,10 +50,13 @@ type StreamID int64
 
 // transmission is one on-air signal, either a control frame (finite End,
 // resolved on completion) or a data stream (End = Infinity until stopped).
+// Records of retired control frames are recycled through Medium.free.
 type transmission struct {
-	id      int64
-	from    int
-	beam    phy.Beam
+	id   int64
+	from int
+	// aim is the transmit beam with its pattern resolved once, at Transmit
+	// or StartStream.
+	aim     world.Aim
 	start   des.Time
 	end     des.Time
 	payload any
@@ -65,10 +68,21 @@ type transmission struct {
 
 // listener is a vehicle's receive state.
 type listener struct {
-	beam    phy.Beam
+	// aim is the receive beam with its pattern resolved once per
+	// StartListen.
+	aim     world.Aim
 	since   des.Time
 	handler Handler
 	active  bool
+}
+
+// heard is one frame of the group being resolved as it arrives at a
+// listener: the frame's record and its received power there, the Eq. 3
+// numerator. The power is carried beside the record pointer, never at an
+// index into Medium.active, which handlers may append to or shift.
+type heard struct {
+	tx *transmission
+	mw units.MilliWatt
 }
 
 // FaultModel is the medium's fault-injection hook (see internal/faults).
@@ -99,8 +113,35 @@ type Medium struct {
 	listeners []listener
 	// nextID starts at 1 so the zero StreamID is never a live stream.
 	nextID int64
-	// resolveAt de-duplicates end-of-frame resolution events.
+	// resolveAt de-duplicates end-of-frame resolution events; resolveFn is
+	// the resolve method value, bound once so scheduling allocates only
+	// the event.
 	resolveAt map[des.Time]bool
+	resolveFn func()
+
+	// free holds retired control-frame records for reuse. A record enters
+	// it only in resolve's retire sweep, after the group that ended it has
+	// been delivered and once it has left active, so no live reference —
+	// active, group, heard — ever points at a free record.
+	free []*transmission
+	// group is resolve's reused scratch of the frames ending now.
+	group []*transmission
+	// Per-listener interference-kernel scratch, indexed by vehicle and
+	// rebuilt by accumulate for each group: hear marks listeners that can
+	// decode something in the group window, total is the incident power
+	// from every overlapping signal, and busy marks vehicles transmitting
+	// in the window (half-duplex). heard holds the group frames arriving at
+	// each listener, listener by listener and in group order within one:
+	// listener j's run ends at heardEnd[j] and starts where j-1's ends.
+	hear     []bool
+	total    []units.MilliWatt
+	busy     []bool
+	heard    []heard
+	heardEnd []int32
+	// removals counts removals from active (StopStream, Reset), so a
+	// group delivery notices a handler that took a signal off the air and
+	// re-accumulates for the listeners still to come.
+	removals uint64
 
 	// faults, when non-nil, injects radio churn, control-frame loss and
 	// slot jitter into every transmission and delivery.
@@ -147,13 +188,20 @@ func (m *Medium) SetObs(r *obs.Registry) {
 
 // New builds a Medium over a world and simulator.
 func New(sim *des.Simulator, w *world.World) *Medium {
-	return &Medium{
+	n := w.NumVehicles()
+	m := &Medium{
 		sim:       sim,
 		w:         w,
 		nextID:    1,
-		listeners: make([]listener, w.NumVehicles()),
+		listeners: make([]listener, n),
 		resolveAt: make(map[des.Time]bool),
+		hear:      make([]bool, n),
+		total:     make([]units.MilliWatt, n),
+		busy:      make([]bool, n),
+		heardEnd:  make([]int32, n),
 	}
+	m.resolveFn = m.resolve
+	return m
 }
 
 // StartListen aims vehicle i's receive beam and registers a handler for
@@ -163,7 +211,7 @@ func (m *Medium) StartListen(i int, beam phy.Beam, h Handler) {
 	if h == nil {
 		panic(fmt.Sprintf("medium: nil handler for listener %d", i))
 	}
-	m.listeners[i] = listener{beam: beam, since: m.sim.Now(), handler: h, active: true}
+	m.listeners[i] = listener{aim: m.w.Aim(beam), since: m.sim.Now(), handler: h, active: true}
 	m.obsRxAims.Inc()
 }
 
@@ -193,10 +241,17 @@ func (m *Medium) Transmit(from int, beam phy.Beam, dur time.Duration, payload an
 		}
 		start = now.Add(m.faults.TxDelay(from, now))
 	}
-	tx := &transmission{
+	var tx *transmission
+	if k := len(m.free) - 1; k >= 0 {
+		tx = m.free[k]
+		m.free = m.free[:k]
+	} else {
+		tx = new(transmission)
+	}
+	*tx = transmission{
 		id:      m.nextID,
 		from:    from,
-		beam:    beam,
+		aim:     m.w.Aim(beam),
 		start:   start,
 		end:     start.Add(dur),
 		payload: payload,
@@ -206,7 +261,7 @@ func (m *Medium) Transmit(from int, beam phy.Beam, dur time.Duration, payload an
 	m.obsControlTx.Inc()
 	if !m.resolveAt[tx.end] {
 		m.resolveAt[tx.end] = true
-		m.sim.ScheduleAt(tx.end, "medium.resolve", m.resolve)
+		m.sim.ScheduleAt(tx.end, "medium.resolve", m.resolveFn)
 	}
 }
 
@@ -217,7 +272,7 @@ func (m *Medium) StartStream(from int, beam phy.Beam) StreamID {
 	tx := &transmission{
 		id:     m.nextID,
 		from:   from,
-		beam:   beam,
+		aim:    m.w.Aim(beam),
 		start:  now,
 		end:    des.Infinity,
 		stream: true,
@@ -233,6 +288,7 @@ func (m *Medium) StopStream(id StreamID) {
 	for k, tx := range m.active {
 		if tx.id == int64(id) && tx.stream {
 			m.active = append(m.active[:k], m.active[k+1:]...)
+			m.removals++
 			return
 		}
 	}
@@ -256,35 +312,53 @@ const retireGrace = 100 * time.Microsecond
 func (m *Medium) resolve() {
 	now := m.sim.Now()
 	delete(m.resolveAt, now)
-	var group []*transmission
+	m.group = m.group[:0]
 	for _, tx := range m.active {
 		if tx.end == now && !tx.stream && !tx.resolved {
 			tx.resolved = true
-			group = append(group, tx)
+			m.group = append(m.group, tx)
 		}
 	}
-	if len(group) > 0 {
-		m.deliverGroup(group)
+	if len(m.group) > 0 {
+		m.deliverGroup(m.group)
 	}
 	kept := m.active[:0]
 	cutoff := now.Add(-retireGrace)
 	for _, tx := range m.active {
 		if tx.end > now || (tx.resolved && tx.end > cutoff) {
 			kept = append(kept, tx)
+		} else {
+			tx.payload = nil
+			m.free = append(m.free, tx)
 		}
 	}
 	m.active = kept
 }
 
 // deliverGroup resolves reception of a batch of frames sharing an end time.
-// For each listening vehicle the total incident power is computed once; each
-// frame's SINR then counts every other overlapping signal as interference
-// (Eq. 3).
+// accumulate computes every listener's incident power and per-frame
+// received powers in one pass over the transmissions; each frame's SINR
+// then counts every other overlapping signal as interference (Eq. 3).
+// Listeners are served in vehicle order and each listener's frames in
+// group order, so handlers run in the same order as a literal per-listener
+// evaluation.
+//
+//mmv2v:hotpath the per-frame Eq. 3 resolution of every control frame; pinned by BenchmarkDeliverGroup15vpl
 func (m *Medium) deliverGroup(group []*transmission) {
 	noise := m.w.Channel().NoiseMw()
-	n := m.w.NumVehicles()
 	now := m.sim.Now()
-	for j := 0; j < n; j++ {
+	groupStart, latestStart := group[0].start, group[0].start
+	for _, g := range group {
+		if g.start < groupStart {
+			groupStart = g.start
+		}
+		if g.start > latestStart {
+			latestStart = g.start
+		}
+	}
+	removals := m.removals
+	m.accumulate(groupStart, latestStart, now)
+	for j := range m.listeners {
 		l := &m.listeners[j]
 		if !l.active {
 			continue
@@ -294,47 +368,25 @@ func (m *Medium) deliverGroup(group []*transmission) {
 		if m.faults != nil && !m.faults.RadioUp(j, now) {
 			continue
 		}
-		// Incident power from every signal overlapping the group window,
-		// and whether j itself was transmitting (half-duplex: cannot hear).
-		groupStart := group[0].start
-		for _, g := range group {
-			if g.start < groupStart {
-				groupStart = g.start
-			}
+		if m.removals != removals {
+			// An earlier handler stopped a stream: the listeners still
+			// to come see the medium without it.
+			removals = m.removals
+			m.accumulate(groupStart, latestStart, now)
 		}
-		total := units.MilliWatt(0)
-		selfBusy := false
-		for _, tx := range m.active {
-			if !overlaps(tx.start, tx.end, groupStart, now) {
-				continue
-			}
-			if tx.from == j {
-				selfBusy = true
-				continue
-			}
-			// A transmitter whose radio died mid-frame radiates nothing.
-			if m.faults != nil && !m.faults.RadioUp(tx.from, now) {
-				continue
-			}
-			total += m.w.RxPowerMw(tx.from, j, tx.beam, l.beam)
-		}
-		if selfBusy {
+		// Half-duplex: a vehicle transmitting in the window cannot hear.
+		if m.busy[j] {
 			continue
 		}
-		for _, g := range group {
-			if g.from == j {
-				continue
-			}
+		total := m.total[j]
+		for _, h := range m.heardBy(j) {
+			g := h.tx
 			// The listener must have been aimed for the whole frame.
 			if l.since > g.start {
 				continue
 			}
-			// A frame whose sender's radio died mid-air is gone.
-			if m.faults != nil && !m.faults.RadioUp(g.from, now) {
-				continue
-			}
-			desired := m.w.RxPowerMw(g.from, j, g.beam, l.beam)
-			//mmv2v:exact RxPowerMw returns exactly 0 as its out-of-range/beam-miss sentinel
+			desired := h.mw
+			//mmv2v:exact a received power is exactly 0 only as the out-of-range/beam-miss sentinel
 			if desired == 0 {
 				continue
 			}
@@ -356,7 +408,7 @@ func (m *Medium) deliverGroup(group []*transmission) {
 					Payload: g.payload,
 					SINRdB:  sinr,
 					SNRdB:   units.RatioDB(desired, noise),
-					At:      m.sim.Now(),
+					At:      now,
 				})
 				if !l.active {
 					break
@@ -369,6 +421,107 @@ func (m *Medium) deliverGroup(group []*transmission) {
 			}
 		}
 	}
+}
+
+// accumulate rebuilds the per-listener kernel scratch for a group window
+// [groupStart, now). It walks the overlapping transmissions in active order
+// and, for each, only the listeners within interference range of its
+// sender (its link slice), so every listener's total adds the same nonzero
+// terms in the same order as a per-listener scan of active — out-of-range
+// pairs contribute an exact 0, whose addition is the identity on a
+// non-negative sum — and each (transmission, listener) power is computed
+// once. The group frames' powers are kept per listener for the SINR
+// numerators. Listeners that cannot decode anything (inactive, radio down,
+// aimed after the latest frame started, or busy transmitting) get no terms.
+// The fault model's radio states are queried for the same vehicles at the
+// same time as a per-listener scan would query them.
+func (m *Medium) accumulate(groupStart, latestStart, now des.Time) {
+	clear(m.busy)
+	for _, tx := range m.active {
+		if overlaps(tx.start, tx.end, groupStart, now) {
+			m.busy[tx.from] = true
+		}
+	}
+	anyUp := false
+	for j := range m.listeners {
+		l := &m.listeners[j]
+		m.total[j] = 0
+		m.heardEnd[j] = 0
+		up := l.active && (m.faults == nil || m.faults.RadioUp(j, now))
+		anyUp = anyUp || up
+		m.hear[j] = up && l.since <= latestStart && !m.busy[j]
+	}
+	m.heard = m.heard[:0]
+	if !anyUp {
+		return
+	}
+	// Lay out heard: count each listener's group frames, then turn the
+	// counts into run starts. The power pass below advances heardEnd[j]
+	// from j's start to its end as it fills the run.
+	for _, tx := range m.active {
+		if !m.radiating(tx, groupStart, now) || !tx.inGroup(now) {
+			continue
+		}
+		for _, lnk := range m.w.Links(tx.from) {
+			if m.hear[lnk.J] {
+				m.heardEnd[lnk.J]++
+			}
+		}
+	}
+	runs := int32(0)
+	for j, c := range m.heardEnd {
+		m.heardEnd[j] = runs
+		runs += c
+	}
+	if cap(m.heard) < int(runs) {
+		//mmv2v:alloc amortized: the heard runs grow to the largest group's in-range pairs and are reused across groups
+		m.heard = make([]heard, runs)
+	}
+	m.heard = m.heard[:runs]
+	for _, tx := range m.active {
+		if !m.radiating(tx, groupStart, now) {
+			continue
+		}
+		member := tx.inGroup(now)
+		for _, lnk := range m.w.Links(tx.from) {
+			j := lnk.J
+			if !m.hear[j] {
+				continue
+			}
+			back, _ := m.w.Link(j, tx.from)
+			p := m.w.LinkRxPowerMw(lnk, back.Bearing, tx.aim, m.listeners[j].aim)
+			m.total[j] += p
+			if member {
+				m.heard[m.heardEnd[j]] = heard{tx: tx, mw: p}
+				m.heardEnd[j]++
+			}
+		}
+	}
+}
+
+// radiating reports whether tx puts power into the group window
+// [groupStart, now): it overlaps the window and, under a fault model, its
+// sender's radio is up (a transmitter whose radio died mid-frame radiates
+// nothing).
+func (m *Medium) radiating(tx *transmission, groupStart, now des.Time) bool {
+	return overlaps(tx.start, tx.end, groupStart, now) &&
+		(m.faults == nil || m.faults.RadioUp(tx.from, now))
+}
+
+// inGroup reports whether tx is one of the frames being resolved at now:
+// the group is exactly the control frames ending now, since a frame started
+// by a handler during delivery ends strictly later.
+func (tx *transmission) inGroup(now des.Time) bool {
+	return tx.end == now && !tx.stream
+}
+
+// heardBy returns the group frames arriving at listener j, in group order.
+func (m *Medium) heardBy(j int) []heard {
+	start := int32(0)
+	if j > 0 {
+		start = m.heardEnd[j-1]
+	}
+	return m.heard[start:m.heardEnd[j]]
 }
 
 // SINRNow returns the instantaneous data-plane SINR from tx to rx with the
@@ -387,6 +540,7 @@ func (m *Medium) SINRNow(tx, rx int, txBeam, rxBeam phy.Beam) units.DB {
 	if desired == 0 {
 		return -300
 	}
+	rxAim := m.w.Aim(rxBeam)
 	interference := units.MilliWatt(0)
 	for _, t := range m.active {
 		if t.from == tx || t.from == rx {
@@ -398,7 +552,13 @@ func (m *Medium) SINRNow(tx, rx int, txBeam, rxBeam phy.Beam) units.DB {
 		if m.faults != nil && !m.faults.RadioUp(t.from, now) {
 			continue
 		}
-		interference += m.w.RxPowerMw(t.from, rx, t.beam, rxBeam)
+		// Out-of-range interferers contribute an exact 0; skip them.
+		in, ok := m.w.Link(t.from, rx)
+		if !ok {
+			continue
+		}
+		out, _ := m.w.Link(rx, t.from)
+		interference += m.w.LinkRxPowerMw(in, out.Bearing, t.aim, rxAim)
 	}
 	return units.RatioDB(desired, m.w.Channel().NoiseMw()+interference)
 }
@@ -407,6 +567,7 @@ func (m *Medium) SINRNow(tx, rx int, txBeam, rxBeam phy.Beam) units.DB {
 // trials sharing a medium).
 func (m *Medium) Reset() {
 	m.active = m.active[:0]
+	m.removals++
 	for i := range m.listeners {
 		m.listeners[i] = listener{}
 	}

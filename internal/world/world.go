@@ -687,12 +687,31 @@ func (w *World) TotalLinks() int {
 	return total
 }
 
-// beamGain evaluates the antenna gain of a beam toward a target bearing.
-func (w *World) beamGain(beam phy.Beam, toward geom.Bearing) float64 {
+// Aim is a beam with a handle on its antenna pattern. Kernels that
+// evaluate one beam against many partners (the medium's interference sums)
+// resolve it once per transmission or receive aim instead of once per
+// gain. The handle points into the world's pattern cache, whose entries
+// depend only on the beam width and the fixed side-lobe level and are never
+// mutated, so an Aim stays valid for the world's life.
+type Aim struct {
+	beam    phy.Beam
+	pattern *channel.Pattern // nil for quasi-omni
+}
+
+// Aim resolves a beam's antenna pattern.
+func (w *World) Aim(beam phy.Beam) Aim {
 	if beam.IsOmni() {
+		return Aim{beam: beam}
+	}
+	return Aim{beam: beam, pattern: w.patterns.Get(beam.Width)}
+}
+
+// Gain evaluates the aim's antenna gain toward a target bearing (linear).
+func (a Aim) Gain(toward geom.Bearing) float64 {
+	if a.pattern == nil {
 		return 1
 	}
-	return w.patterns.Get(beam.Width).Gain(geom.AngleDiff(beam.Bearing, toward))
+	return a.pattern.Gain(geom.AngleDiff(a.beam.Bearing, toward))
 }
 
 // RxPowerMw returns the power vehicle rx receives from tx given both beam
@@ -703,8 +722,15 @@ func (w *World) RxPowerMw(tx, rx int, txBeam, rxBeam phy.Beam) units.MilliWatt {
 		return 0
 	}
 	back, _ := w.Link(rx, tx)
-	gTx := w.beamGain(txBeam, lnk.Bearing)  // tx's gain toward rx
-	gRx := w.beamGain(rxBeam, back.Bearing) // rx's gain toward tx
+	return w.LinkRxPowerMw(lnk, back.Bearing, w.Aim(txBeam), w.Aim(rxBeam))
+}
+
+// LinkRxPowerMw is RxPowerMw for a caller that already holds the tx→rx link
+// entry lnk, the bearing back from rx toward tx, and both resolved aims.
+// It performs no lookups and returns bit-identical powers.
+func (w *World) LinkRxPowerMw(lnk Link, back geom.Bearing, txAim, rxAim Aim) units.MilliWatt {
+	gTx := txAim.Gain(lnk.Bearing) // tx's gain toward rx
+	gRx := rxAim.Gain(back)        // rx's gain toward tx
 	return units.MilliWatt(w.model.TxPowerMw().MW() * gTx * lnk.PathGainLin * gRx)
 }
 

@@ -27,14 +27,26 @@ func splitMix64(state uint64) (uint64, uint64) {
 // well-distributed 64-bit value. It is the derivation function used for all
 // sub-stream seeds.
 func Mix(vs ...uint64) uint64 {
-	state := uint64(0x6a09e667f3bcc909) // fractional bits of sqrt(2)
-	var out uint64
+	state := uint64(mixInit)
 	for _, v := range vs {
-		state ^= v
-		state, out = splitMix64(state)
-		state ^= out
+		state = mixStep(state, v)
 	}
-	_, out = splitMix64(state)
+	return mixFinish(state)
+}
+
+// mixInit is Mix's initial state: the fractional bits of sqrt(2).
+const mixInit = 0x6a09e667f3bcc909
+
+// mixStep folds one value into a Mix state.
+func mixStep(state, v uint64) uint64 {
+	state ^= v
+	state, out := splitMix64(state)
+	return state ^ out
+}
+
+// mixFinish turns a Mix state into its output.
+func mixFinish(state uint64) uint64 {
+	_, out := splitMix64(state)
 	return out
 }
 
@@ -93,10 +105,34 @@ func (s *Source) Seed() uint64 { return s.seed }
 // with the same arguments always yields an identically seeded stream, and it
 // does not consume state from the parent, so derivation order is irrelevant.
 func (s *Source) Child(label string, idx ...uint64) *Source {
-	vs := make([]uint64, 0, len(idx)+2)
-	vs = append(vs, s.seed, HashString(label))
-	vs = append(vs, idx...)
-	return New(Mix(vs...))
+	return New(s.childSeed(label, idx))
+}
+
+// Rederive re-seeds s in place as the stream parent.Child(label, idx...)
+// would be seeded, so its draws are identical to that child's. It is for
+// hot loops that derive one short-lived child per entity per slot: s keeps
+// its generator across calls, so only the first Rederive of a zero Source
+// allocates. s must not be parent itself.
+func (s *Source) Rederive(parent *Source, label string, idx ...uint64) {
+	s.seed = parent.childSeed(label, idx)
+	if s.rng == nil {
+		s.state = &sm64{}
+		s.rng = rand.New(s.state)
+	}
+	// Seed stores the mixed seed in the generator (as New does) and drops
+	// any buffered Read bytes, leaving no trace of the previous stream.
+	s.rng.Seed(int64(Mix(s.seed)))
+}
+
+// childSeed is the seed of s.Child(label, idx...):
+// Mix(s.seed, HashString(label), idx...), folded without building a slice.
+func (s *Source) childSeed(label string, idx []uint64) uint64 {
+	state := mixStep(mixInit, s.seed)
+	state = mixStep(state, HashString(label))
+	for _, v := range idx {
+		state = mixStep(state, v)
+	}
+	return mixFinish(state)
 }
 
 // Float64 returns a uniform value in [0, 1).

@@ -168,3 +168,68 @@ func TestMixUniformity(t *testing.T) {
 		}
 	}
 }
+
+// TestRederiveMatchesChild pins Rederive to Child: a Source re-derived in
+// place draws exactly what a freshly derived child with the same arguments
+// draws, whatever stream it held before.
+func TestRederiveMatchesChild(t *testing.T) {
+	parents := []*Source{New(0), New(1), New(0xdeadbeef)}
+	tests := []struct {
+		label string
+		idx   []uint64
+	}{
+		{"", nil},
+		{"protocol", nil},
+		{"rop.slot", []uint64{0, 0, 0}},
+		{"rop.slot", []uint64{7, 3, 143}},
+		{"rop.pick", []uint64{7, 3, 1}},
+		{"mmv2v.role", []uint64{99, 12, 5}},
+		{"mmv2v.dcm.pick", []uint64{1 << 63, 1, 39}},
+		{"t2", []uint64{4, 1, 2, 3, 4, 5, 6, 7, 8}},
+	}
+	// draws exercises every distribution helper, including the ones whose
+	// math/rand implementations consume a varying number of outputs.
+	draws := func(s *Source) []float64 {
+		out := []float64{s.Float64(), float64(s.Uint64() >> 11), float64(s.Intn(24)), s.NormFloat64(), s.ExpFloat64()}
+		if s.Bool(0.5) {
+			out = append(out, 1)
+		}
+		for _, p := range s.Perm(5) {
+			out = append(out, float64(p))
+		}
+		return out
+	}
+	var re Source
+	for _, p := range parents {
+		for _, tt := range tests {
+			want := draws(p.Child(tt.label, tt.idx...))
+			re.Rederive(p, tt.label, tt.idx...)
+			if re.Seed() != p.Child(tt.label, tt.idx...).Seed() {
+				t.Fatalf("Rederive(%d, %q, %v) seed %x, Child seed %x", p.Seed(), tt.label, tt.idx, re.Seed(), p.Child(tt.label, tt.idx...).Seed())
+			}
+			got := draws(&re)
+			for k := range want {
+				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("Rederive(%d, %q, %v) draw %d = %v, Child draws %v", p.Seed(), tt.label, tt.idx, k, got[k], want[k])
+				}
+			}
+		}
+	}
+}
+
+// TestRederiveAllocationFree pins the point of Rederive: once the Source
+// holds a generator, re-deriving it allocates nothing.
+func TestRederiveAllocationFree(t *testing.T) {
+	p := New(1)
+	var re Source
+	re.Rederive(p, "rop.slot", 0, 0, 0)
+	k := uint64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		k++
+		re.Rederive(p, "rop.slot", k, 3, 17)
+		_ = re.Intn(24)
+	})
+	if allocs != 0 {
+		t.Errorf("Rederive allocates %v objects per call, want 0", allocs)
+	}
+}
