@@ -17,21 +17,16 @@ import (
 // oracle and against variants that disable one design choice at a time —
 // the heterogeneous Tx/Rx beam widths (Sec. III-B), the p = 0.5 role
 // probability optimum (Theorem 2), and the K = 3 / M = 40 operating point.
+//
+// Each variant is one cell.
 type AblationOptions struct {
-	Seed       uint64
-	Trials     int
+	Run
 	DensityVPL float64
-	// Workers bounds concurrent trial simulations across all variants
-	// (0 = GOMAXPROCS). The table is identical for any value.
-	Workers int
-	// Progress, when non-nil, is invoked once per completed variant; must
-	// be safe for concurrent use.
-	Progress func(cell string)
 }
 
 // DefaultAblationOptions returns the standard setting.
 func DefaultAblationOptions() AblationOptions {
-	return AblationOptions{Seed: 1, Trials: 3, DensityVPL: 20}
+	return AblationOptions{Run: Run{Seed: 1, Trials: 3}, DensityVPL: 20}
 }
 
 // AblationRow is one variant's outcome.
@@ -48,9 +43,6 @@ type AblationResult struct {
 
 // Ablation runs the study.
 func Ablation(opts AblationOptions) (*AblationResult, error) {
-	if opts.Trials <= 0 {
-		return nil, fmt.Errorf("experiments: invalid ablation options %+v", opts)
-	}
 	variants := []struct {
 		name    string
 		factory sim.Factory
@@ -58,36 +50,30 @@ func Ablation(opts AblationOptions) (*AblationResult, error) {
 	}{
 		{"mmV2V (paper config)", core.Factory(core.DefaultParams()), nil},
 		{"oracle (centralized greedy)", core.OracleFactory(core.DefaultParams()), nil},
-		{"homogeneous wide beams (β=30°)", core.Factory(withCodebookRx(geom.Deg(30))), nil},
-		{"homogeneous narrow beams (α=12°)", core.Factory(withCodebookTx(geom.Deg(12))), nil},
-		{"role probability p=0.3", core.Factory(withP(0.3)), nil},
-		{"role probability p=0.7", core.Factory(withP(0.7)), nil},
-		{"single discovery round (K=1)", core.Factory(withK(1)), nil},
-		{"sparse negotiation (M=10)", core.Factory(withM(10)), nil},
-		{"fairness-biased matching (+10 dB)", core.Factory(withFairness(units.DB(10))), nil},
-		{"beam tracking in UDT", core.Factory(withTracking()), nil},
-		{"GPS sync error ±5 µs", core.Factory(withJitter(5 * time.Microsecond)), nil},
-		{"explicit on-air refinement", core.Factory(withExplicitRefinement()), nil},
+		{"homogeneous wide beams (β=30°)", with(func(p *core.Params) { p.Codebook.RxWidth = geom.Deg(30) }), nil},
+		{"homogeneous narrow beams (α=12°)", with(func(p *core.Params) { p.Codebook.TxWidth = geom.Deg(12) }), nil},
+		{"role probability p=0.3", with(func(p *core.Params) { p.P = 0.3 }), nil},
+		{"role probability p=0.7", with(func(p *core.Params) { p.P = 0.7 }), nil},
+		{"single discovery round (K=1)", with(func(p *core.Params) { p.K = 1 }), nil},
+		{"sparse negotiation (M=10)", with(func(p *core.Params) { p.M = 10 }), nil},
+		{"fairness-biased matching (+10 dB)", with(func(p *core.Params) { p.FairnessBiasDB = units.DB(10) }), nil},
+		{"beam tracking in UDT", with(func(p *core.Params) { p.BeamTracking = true }), nil},
+		{"GPS sync error ±5 µs", with(func(p *core.Params) { p.SyncJitter = 5 * time.Microsecond }), nil},
+		{"explicit on-air refinement", with(func(p *core.Params) { p.ExplicitRefinement = true }), nil},
 		{"log-normal shadowing σ=4 dB", core.Factory(core.DefaultParams()),
 			func(c *sim.Config) { c.World.Channel.ShadowSigmaDB = 4 }},
 	}
-	// One cell per variant, all submitting trials to a shared runner; the
-	// slot-per-variant buffer keeps the row order fixed by the variant list.
-	runner := sim.NewRunner(opts.Workers)
-	rows := make([]AblationRow, len(variants))
-	err := sim.Gather(len(variants), func(vi int) error {
+	rows, err := sweep("ablation", opts.Run, len(variants), func(runner *sim.Runner, vi int) (AblationRow, string, error) {
 		v := variants[vi]
-		cfg := scenario(opts.DensityVPL, opts.Seed)
+		cfg := sim.DefaultConfig(opts.DensityVPL, opts.Seed)
 		if v.mutate != nil {
 			v.mutate(&cfg)
 		}
 		pooled, err := runner.RunTrials(cfg, v.factory, opts.Trials)
 		if err != nil {
-			return err
+			return AblationRow{}, "", err
 		}
-		rows[vi] = AblationRow{Variant: v.name, Summary: pooled.Summary}
-		reportProgress(opts.Progress, "ablation %s", v.name)
-		return nil
+		return AblationRow{Variant: v.name, Summary: pooled.Summary}, "ablation " + v.name, nil
 	})
 	if err != nil {
 		return nil, err
@@ -95,58 +81,11 @@ func Ablation(opts AblationOptions) (*AblationResult, error) {
 	return &AblationResult{Opts: opts, Rows: rows}, nil
 }
 
-func withCodebookRx(rxWidth units.Radian) core.Params {
+// with returns the mmV2V protocol with one edit to the paper's parameters.
+func with(edit func(*core.Params)) sim.Factory {
 	p := core.DefaultParams()
-	p.Codebook.RxWidth = rxWidth
-	return p
-}
-
-func withCodebookTx(txWidth units.Radian) core.Params {
-	p := core.DefaultParams()
-	p.Codebook.TxWidth = txWidth
-	return p
-}
-
-func withP(prob float64) core.Params {
-	p := core.DefaultParams()
-	p.P = prob
-	return p
-}
-
-func withK(k int) core.Params {
-	p := core.DefaultParams()
-	p.K = k
-	return p
-}
-
-func withM(m int) core.Params {
-	p := core.DefaultParams()
-	p.M = m
-	return p
-}
-
-func withFairness(biasDB units.DB) core.Params {
-	p := core.DefaultParams()
-	p.FairnessBiasDB = biasDB
-	return p
-}
-
-func withTracking() core.Params {
-	p := core.DefaultParams()
-	p.BeamTracking = true
-	return p
-}
-
-func withJitter(j time.Duration) core.Params {
-	p := core.DefaultParams()
-	p.SyncJitter = j
-	return p
-}
-
-func withExplicitRefinement() core.Params {
-	p := core.DefaultParams()
-	p.ExplicitRefinement = true
-	return p
+	edit(&p)
+	return core.Factory(p)
 }
 
 // Get returns the summary of a named variant.

@@ -6,9 +6,6 @@ import (
 	"io"
 	"strconv"
 
-	"mmv2v/internal/baseline"
-	"mmv2v/internal/core"
-	"mmv2v/internal/metrics"
 	"mmv2v/internal/sim"
 	"mmv2v/internal/traffic"
 )
@@ -19,17 +16,10 @@ import (
 // and turning traffic stress discovery and matching differently than
 // highway platooning does.
 type CityOptions struct {
-	Seed   uint64
-	Trials int
+	Run
 	// Grid is the road-network scenario (intersection counts, block length,
 	// vehicle count).
 	Grid traffic.GridConfig
-	// Workers bounds concurrent trial simulations (0 = GOMAXPROCS). Tables
-	// are byte-identical for any value.
-	Workers int
-	// Progress, when non-nil, is invoked once per completed protocol cell;
-	// must be safe for concurrent use.
-	Progress func(cell string)
 }
 
 // DefaultCityOptions returns a 3×3-intersection downtown grid with 180
@@ -41,18 +31,9 @@ func DefaultCityOptions() CityOptions {
 	g.Rows, g.Cols = 3, 3
 	g.BlockM = 200
 	return CityOptions{
-		Seed:   1,
-		Trials: 3,
-		Grid:   g,
+		Run:  Run{Seed: 1, Trials: 3},
+		Grid: g,
 	}
-}
-
-// CityCell is one protocol's pooled measurement on the grid.
-type CityCell struct {
-	Protocol string
-	Summary  metrics.Summary
-	// OCRCI95 is the half-width of the 95 % CI over per-vehicle OCR.
-	OCRCI95 float64
 }
 
 // CityResult is the full city-grid comparison.
@@ -60,47 +41,29 @@ type CityResult struct {
 	Opts CityOptions
 	// AvgNeighbors is the mean LOS neighbor count on the grid (mmV2V run).
 	AvgNeighbors float64
-	Cells        []CityCell
+	Cells        []Cell
 }
 
 // City runs the OHM protocol comparison on the grid network.
 func City(opts CityOptions) (*CityResult, error) {
-	if opts.Trials <= 0 {
-		return nil, fmt.Errorf("experiments: invalid City options %+v", opts)
-	}
 	if err := opts.Grid.Validate(); err != nil {
 		return nil, err
 	}
-	factories := []sim.Factory{
-		core.Factory(core.DefaultParams()),
-		baseline.ROPFactory(baseline.DefaultROPParams()),
-		baseline.ADFactory(baseline.DefaultADParams()),
-	}
-	runner := sim.NewRunner(opts.Workers)
-	cells := make([]CityCell, len(factories))
-	avgN := make([]float64, len(factories))
-	err := sim.Gather(len(factories), func(k int) error {
+	protocols := paperProtocols()
+	cells, err := sweep("city", opts.Run, len(protocols), func(r *sim.Runner, k int) (Cell, string, error) {
 		grid := opts.Grid
-		cfg := scenario(15, opts.Seed)
+		cfg := sim.DefaultConfig(15, opts.Seed)
 		cfg.Grid = &grid
-		pooled, err := runner.RunTrials(cfg, factories[k], opts.Trials)
+		pooled, err := r.RunTrials(cfg, protocols[k], opts.Trials)
 		if err != nil {
-			return err
+			return Cell{}, "", err
 		}
-		ocrs := make([]float64, 0, len(pooled.Stats))
-		for _, st := range pooled.Stats {
-			ocrs = append(ocrs, st.OCR)
-		}
-		_, ci := metrics.MeanCI95(ocrs)
-		cells[k] = CityCell{Protocol: pooled.Protocol, Summary: pooled.Summary, OCRCI95: ci}
-		avgN[k] = pooled.AvgNeighbors
-		reportProgress(opts.Progress, "city %s", pooled.Protocol)
-		return nil
+		return newCell(pooled), "city " + pooled.Protocol, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &CityResult{Opts: opts, AvgNeighbors: avgN[0], Cells: cells}, nil
+	return &CityResult{Opts: opts, AvgNeighbors: cells[0].AvgNeighbors, Cells: cells}, nil
 }
 
 // WriteTable prints the protocol comparison on the grid.
@@ -118,7 +81,6 @@ func (r *CityResult) WriteTable(w io.Writer) {
 
 // WriteCSV emits protocol, ocr, ocr_ci95, atp, dtp rows.
 func (r *CityResult) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
 	rows := [][]string{{"rows", "cols", "block_m", "vehicles", "avg_neighbors", "protocol", "ocr", "ocr_ci95", "atp", "dtp"}}
 	g := r.Opts.Grid
 	for _, c := range r.Cells {
@@ -128,5 +90,5 @@ func (r *CityResult) WriteCSV(w io.Writer) error {
 			f(c.Summary.MeanOCR), f(c.OCRCI95), f(c.Summary.MeanATP), f(c.Summary.MeanDTP),
 		})
 	}
-	return writeAll(cw, rows)
+	return csv.NewWriter(w).WriteAll(rows)
 }

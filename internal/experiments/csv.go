@@ -3,28 +3,16 @@ package experiments
 import (
 	"encoding/csv"
 	"io"
-	"math"
 	"strconv"
 )
 
 // The WriteCSV methods emit each experiment in long format (one observation
 // per row), the layout plotting tools consume directly.
 
-func writeAll(cw *csv.Writer, rows [][]string) error {
-	for _, row := range rows {
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 func f(v float64) string { return strconv.FormatFloat(v, 'g', 8, 64) }
 
 // WriteCSV emits density, avg_neighbors, c, slot, capacity_bps rows.
 func (r *Fig6Result) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
 	rows := [][]string{{"density_vpl", "avg_neighbors", "c", "slot", "capacity_bps"}}
 	for _, sc := range r.Scenarios {
 		for _, s := range sc.Series {
@@ -36,71 +24,11 @@ func (r *Fig6Result) WriteCSV(w io.Writer) error {
 			}
 		}
 	}
-	return writeAll(cw, rows)
-}
-
-// WriteCSV emits k, metric, x, cdf rows plus mean rows (x empty).
-func (r *Fig7Result) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	rows := [][]string{{"k", "metric", "x", "value"}}
-	pts := r.Opts.CurvePoints
-	if pts < 2 {
-		pts = 11
-	}
-	for _, c := range r.Curves {
-		rows = append(rows,
-			[]string{strconv.Itoa(c.K), "mean_ocr", "", f(c.MeanOCR)},
-			[]string{strconv.Itoa(c.K), "mean_atp", "", f(c.MeanATP)})
-		for p := 0; p < pts; p++ {
-			x := float64(p) / float64(pts-1)
-			rows = append(rows,
-				[]string{strconv.Itoa(c.K), "ocr_cdf", f(x), f(c.OCRCDF.P(x))},
-				[]string{strconv.Itoa(c.K), "atp_cdf", f(x), f(c.ATPCDF.P(x))})
-		}
-	}
-	return writeAll(cw, rows)
-}
-
-// WriteCSV emits m, metric, x, cdf rows plus mean rows (x empty).
-func (r *Fig8Result) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	rows := [][]string{{"m", "metric", "x", "value"}}
-	pts := r.Opts.CurvePoints
-	if pts < 2 {
-		pts = 11
-	}
-	for _, c := range r.Curves {
-		rows = append(rows,
-			[]string{strconv.Itoa(c.M), "mean_ocr", "", f(c.MeanOCR)},
-			[]string{strconv.Itoa(c.M), "mean_atp", "", f(c.MeanATP)})
-		for p := 0; p < pts; p++ {
-			x := float64(p) / float64(pts-1)
-			rows = append(rows,
-				[]string{strconv.Itoa(c.M), "ocr_cdf", f(x), f(c.OCRCDF.P(x))},
-				[]string{strconv.Itoa(c.M), "atp_cdf", f(x), f(c.ATPCDF.P(x))})
-		}
-	}
-	return writeAll(cw, rows)
-}
-
-// WriteCSV emits density, avg_neighbors, protocol, ocr, atp, dtp rows.
-func (r *Fig9Result) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	rows := [][]string{{"density_vpl", "avg_neighbors", "protocol", "ocr", "atp", "dtp"}}
-	for _, row := range r.Rows {
-		for _, c := range row.Cells {
-			rows = append(rows, []string{
-				f(row.DensityVPL), f(row.AvgNeighbors), c.Protocol,
-				f(c.Summary.MeanOCR), f(c.Summary.MeanATP), f(c.Summary.MeanDTP),
-			})
-		}
-	}
-	return writeAll(cw, rows)
+	return csv.NewWriter(w).WriteAll(rows)
 }
 
 // WriteCSV emits p, k, analytic, empirical, sim rows (sim only for p=0.5).
 func (r *Theorem2Result) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
 	rows := [][]string{{"p", "k", "analytic", "empirical", "in_sim"}}
 	for _, c := range r.Cells {
 		inSim := ""
@@ -112,39 +40,16 @@ func (r *Theorem2Result) WriteCSV(w io.Writer) error {
 		}
 		rows = append(rows, []string{f(c.P), strconv.Itoa(c.K), f(c.Analytic), f(c.Empirical), inSim})
 	}
-	return writeAll(cw, rows)
-}
-
-// WriteCSV emits intensity, protocol, ocr, atp, dtp, latency_sec, trials,
-// retried, failures rows.
-func (r *FaultsResult) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	rows := [][]string{{"intensity", "protocol", "ocr", "atp", "dtp",
-		"first_exchange_sec", "trials", "retried", "failures"}}
-	for _, row := range r.Rows {
-		for _, c := range row.Cells {
-			lat := ""
-			if !math.IsNaN(c.MeanLatencySec) {
-				lat = f(c.MeanLatencySec)
-			}
-			rows = append(rows, []string{
-				f(row.Intensity), c.Protocol,
-				f(c.Summary.MeanOCR), f(c.Summary.MeanATP), f(c.Summary.MeanDTP),
-				lat, strconv.Itoa(c.Trials), strconv.Itoa(c.Retried), strconv.Itoa(c.Failures),
-			})
-		}
-	}
-	return writeAll(cw, rows)
+	return csv.NewWriter(w).WriteAll(rows)
 }
 
 // WriteCSV emits variant, ocr, atp, dtp rows.
 func (r *AblationResult) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
 	rows := [][]string{{"variant", "ocr", "atp", "dtp"}}
 	for _, row := range r.Rows {
 		rows = append(rows, []string{
 			row.Variant, f(row.Summary.MeanOCR), f(row.Summary.MeanATP), f(row.Summary.MeanDTP),
 		})
 	}
-	return writeAll(cw, rows)
+	return csv.NewWriter(w).WriteAll(rows)
 }

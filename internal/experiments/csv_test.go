@@ -44,14 +44,14 @@ func TestFig6CSV(t *testing.T) {
 }
 
 func TestFig7CSV(t *testing.T) {
-	r := &Fig7Result{
-		Opts: Fig7Options{CurvePoints: 3},
-		Curves: []Fig7Curve{{
-			K: 3, MeanOCR: 0.7, MeanATP: 0.8,
+	r := &Fig7Result{CDFResult: CDFResult{
+		Param: "K", CurvePoints: 3,
+		Curves: []Curve{{
+			Value: 3, MeanOCR: 0.7, MeanATP: 0.8,
 			OCRCDF: metrics.NewCDF([]float64{0.5, 1.0}),
 			ATPCDF: metrics.NewCDF([]float64{0.6, 0.9}),
 		}},
-	}
+	}}
 	var buf bytes.Buffer
 	if err := r.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -67,14 +67,14 @@ func TestFig7CSV(t *testing.T) {
 }
 
 func TestFig8CSV(t *testing.T) {
-	r := &Fig8Result{
-		Opts: Fig8Options{CurvePoints: 2},
-		Curves: []Fig8Curve{{
-			M: 40, MeanOCR: 0.6, MeanATP: 0.7,
+	r := &Fig8Result{CDFResult: CDFResult{
+		Param: "M", CurvePoints: 2,
+		Curves: []Curve{{
+			Value: 40, MeanOCR: 0.6, MeanATP: 0.7,
 			OCRCDF: metrics.NewCDF([]float64{1}),
 			ATPCDF: metrics.NewCDF([]float64{1}),
 		}},
-	}
+	}}
 	var buf bytes.Buffer
 	if err := r.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -86,17 +86,17 @@ func TestFig8CSV(t *testing.T) {
 }
 
 func TestFig9CSV(t *testing.T) {
-	r := &Fig9Result{
+	r := &Fig9Result{Grid: Grid{
 		Protocols: []string{"mmV2V"},
-		Rows: []Fig9Row{{
-			DensityVPL:   15,
+		Rows: []GridRow{{
+			X:            15,
 			AvgNeighbors: 6.7,
-			Cells: []Fig9Cell{{
+			Cells: []Cell{{
 				Protocol: "mmV2V",
 				Summary:  metrics.Summary{MeanOCR: 0.72, MeanATP: 0.73, MeanDTP: 0.39},
 			}},
 		}},
-	}
+	}}
 	var buf bytes.Buffer
 	if err := r.WriteCSV(&buf); err != nil {
 		t.Fatal(err)

@@ -8,7 +8,9 @@
 //
 // Every experiment takes an options struct with paper defaults, returns a
 // typed result, and can print itself as an aligned text table whose
-// rows/series mirror what the paper plots.
+// rows/series mirror what the paper plots. Each runner-backed experiment is
+// a list of independent cells handed to sweep, which runs them on one
+// shared sim.Runner.
 package experiments
 
 import (
@@ -19,27 +21,58 @@ import (
 	"mmv2v/internal/xrand"
 )
 
-// trialSeed derives the seed of one trial from the experiment seed.
-func trialSeed(seed uint64, trial int) uint64 {
-	return xrand.Mix(seed, 0xe9, uint64(trial))
+// Run is the execution setting every runner-backed experiment embeds in
+// its options.
+type Run struct {
+	Seed uint64
+	// Trials per cell.
+	Trials int
+	// Workers bounds concurrent trial simulations across all cells
+	// (0 = GOMAXPROCS). Results are identical for any value.
+	Workers int
+	// Progress, when non-nil, is invoked once per completed cell with a
+	// short label. Cells complete on concurrent goroutines, so the callback
+	// must be safe for concurrent use (the CLI wraps its printer in a
+	// mutex).
+	Progress func(cell string)
 }
 
-// scenario builds the paper's standard scenario config at a density.
-func scenario(density float64, seed uint64) sim.Config {
-	return sim.DefaultConfig(density, seed)
+// sweep runs n independent cells, all submitting their trials to one shared
+// runner, and returns their values in a slot-per-cell buffer: the result
+// order is fixed by the cell index, never by completion order, so output is
+// identical for any worker count. cell returns its value and the progress
+// label reported once it completes. name identifies the experiment in the
+// error for a zero trial count or an empty cell list.
+func sweep[T any](name string, run Run, n int, cell func(r *sim.Runner, k int) (T, string, error)) ([]T, error) {
+	if run.Trials <= 0 || n <= 0 {
+		return nil, fmt.Errorf("experiments: invalid %s options: %d trials, %d cells", name, run.Trials, n)
+	}
+	runner := sim.NewRunner(run.Workers)
+	out := make([]T, n)
+	err := sim.Gather(n, func(k int) error {
+		v, label, err := cell(runner, k)
+		if err != nil {
+			return err
+		}
+		out[k] = v
+		if run.Progress != nil {
+			run.Progress(label)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// trialSeed derives the seed of one trial from the experiment seed, for
+// experiments that run their own trials instead of Runner.RunTrials.
+func trialSeed(seed uint64, trial int) uint64 {
+	return xrand.Mix(seed, 0xe9, uint64(trial))
 }
 
 // writeHeader prints an experiment banner.
 func writeHeader(w io.Writer, title string) {
 	fmt.Fprintf(w, "== %s ==\n", title)
-}
-
-// reportProgress invokes a per-cell progress callback, if set, with a
-// formatted completed-cell label. Cells complete on concurrent Gather
-// goroutines, so installed callbacks must be safe for concurrent use (the
-// CLI wraps its printer in a mutex).
-func reportProgress(fn func(string), format string, args ...any) {
-	if fn != nil {
-		fn(fmt.Sprintf(format, args...))
-	}
 }

@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 
-	"mmv2v/internal/baseline"
-	"mmv2v/internal/core"
 	"mmv2v/internal/faults"
-	"mmv2v/internal/metrics"
-	"mmv2v/internal/obs"
 	"mmv2v/internal/sim"
 )
 
@@ -17,8 +14,7 @@ import (
 // beyond the paper): mmV2V, ROP and IEEE 802.11ad under the deterministic
 // fault-injection layer of internal/faults, swept over fault intensity.
 type FaultsOptions struct {
-	Seed   uint64
-	Trials int
+	Run
 	// DensityVPL is the traffic density of every cell (one density: the
 	// sweep axis is fault intensity, not load).
 	DensityVPL float64
@@ -32,168 +28,54 @@ type FaultsOptions struct {
 	Profile faults.Config
 	// Retry is the per-trial retry budget forwarded to sim.Config.
 	Retry int
-	// Workers bounds concurrent trial simulations across all cells
-	// (0 = GOMAXPROCS). The tables are identical for any value.
-	Workers int
 	// Stats enables per-cell layer statistics (see Fig9Options.Stats).
 	Stats bool
 	// Series additionally samples each cell's registry at every window
 	// boundary (see Fig9Options.Series).
 	Series bool
-	// Progress, when non-nil, is invoked once per completed (intensity,
-	// protocol) cell with a short label. Cells complete on concurrent
-	// goroutines, so the callback must be safe for concurrent use.
-	Progress func(cell string)
 }
 
 // DefaultFaultsOptions returns the default sweep: the paper's 20 vpl
 // scenario under the standard stress profile at 0/¼/½/1 intensity.
 func DefaultFaultsOptions() FaultsOptions {
 	return FaultsOptions{
-		Seed:        1,
-		Trials:      3,
+		Run:         Run{Seed: 1, Trials: 3},
 		DensityVPL:  20,
 		Intensities: []float64{0, 0.25, 0.5, 1},
 		Profile:     faults.DefaultConfig(),
 	}
 }
 
-// FaultsCell is one (intensity, protocol) measurement.
-type FaultsCell struct {
-	Protocol string
-	Summary  metrics.Summary
-	// MeanLatencySec is the mean time from window start to each neighbor
-	// pair's first exchanged bit (NaN when nothing was exchanged).
-	MeanLatencySec float64
-	// Trials/Retried/Failures echo the crash-isolation summary of the
-	// cell's pooled run.
-	Trials   int
-	Retried  int
-	Failures int
-	// Obs is the cell's pooled layer statistics (nil unless Options.Stats).
-	Obs *obs.Registry
-	// Series is the cell's pooled windowed samples (nil unless
-	// Options.Series).
-	Series *obs.Series
-}
-
-// FaultsRow is one intensity's measurements.
-type FaultsRow struct {
-	Intensity float64
-	Cells     []FaultsCell
-}
-
-// FaultsResult is the full graceful-degradation table.
+// FaultsResult is the full graceful-degradation table: an
+// intensity-by-protocol grid.
 type FaultsResult struct {
-	Opts      FaultsOptions
-	Protocols []string
-	Rows      []FaultsRow
+	Opts FaultsOptions
+	Grid
 }
 
 // FaultSweep runs the study. Cells share one runner, and results assemble
 // in option-list order, so output is byte-identical for any worker count.
 func FaultSweep(opts FaultsOptions) (*FaultsResult, error) {
-	if opts.Trials <= 0 || len(opts.Intensities) == 0 || opts.DensityVPL <= 0 {
-		return nil, fmt.Errorf("experiments: invalid fault-sweep options %+v", opts)
+	if opts.DensityVPL <= 0 {
+		return nil, fmt.Errorf("experiments: invalid fault-sweep density %v", opts.DensityVPL)
 	}
-	factories := []sim.Factory{
-		core.Factory(core.DefaultParams()),
-		baseline.ROPFactory(baseline.DefaultROPParams()),
-		baseline.ADFactory(baseline.DefaultADParams()),
-	}
-	runner := sim.NewRunner(opts.Workers)
-	nf := len(factories)
-	cells := make([]FaultsCell, len(opts.Intensities)*nf)
-	err := sim.Gather(len(cells), func(k int) error {
-		ii, fi := k/nf, k%nf
-		cfg := scenario(opts.DensityVPL, opts.Seed)
-		if opts.WindowSec > 0 {
-			cfg.WindowSec = opts.WindowSec
-		}
-		cfg.Retry = opts.Retry
-		cfg.Stats = opts.Stats
-		cfg.Series = opts.Series
-		profile := opts.Profile.Scale(opts.Intensities[ii])
-		cfg.Faults = &profile
-		pooled, err := runner.RunTrials(cfg, factories[fi], opts.Trials)
-		if err != nil {
-			return err
-		}
-		cells[k] = FaultsCell{
-			Protocol:       pooled.Protocol,
-			Summary:        pooled.Summary,
-			MeanLatencySec: pooled.MeanLatencySec(),
-			Trials:         pooled.Trials,
-			Retried:        pooled.Retried,
-			Failures:       len(pooled.Failures),
-			Obs:            pooled.Obs,
-			Series:         pooled.Series,
-		}
-		reportProgress(opts.Progress, "faults intensity=%g %s", opts.Intensities[ii], pooled.Protocol)
-		return nil
-	})
+	g, err := runGrid(Grid{Name: "faults", Axis: "intensity", Column: "intensity"}, opts.Run, opts.Intensities, paperProtocols(),
+		func(intensity float64) sim.Config {
+			cfg := sim.DefaultConfig(opts.DensityVPL, opts.Seed)
+			if opts.WindowSec > 0 {
+				cfg.WindowSec = opts.WindowSec
+			}
+			cfg.Retry = opts.Retry
+			cfg.Stats = opts.Stats
+			cfg.Series = opts.Series
+			profile := opts.Profile.Scale(intensity)
+			cfg.Faults = &profile
+			return cfg
+		})
 	if err != nil {
 		return nil, err
 	}
-	res := &FaultsResult{Opts: opts}
-	for ii, intensity := range opts.Intensities {
-		row := FaultsRow{Intensity: intensity}
-		for fi := 0; fi < nf; fi++ {
-			row.Cells = append(row.Cells, cells[ii*nf+fi])
-			if ii == 0 {
-				res.Protocols = append(res.Protocols, cells[fi].Protocol)
-			}
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
-}
-
-// Get returns a protocol's cell at an intensity.
-func (r *FaultsResult) Get(intensity float64, protocol string) (FaultsCell, bool) {
-	for _, row := range r.Rows {
-		//mmv2v:exact grid lookup: intensities are exact sweep literals carried through unmodified
-		if row.Intensity != intensity {
-			continue
-		}
-		for _, c := range row.Cells {
-			if c.Protocol == protocol {
-				return c, true
-			}
-		}
-	}
-	return FaultsCell{}, false
-}
-
-// StatsRows exports every cell's layer statistics (when the run had
-// Options.Stats), each row scoped "faults/intensity=<i>/<protocol>", sorted
-// by (scope, name, kind). Nil-Obs cells contribute nothing.
-func (r *FaultsResult) StatsRows() []obs.Row {
-	var rows []obs.Row
-	for _, row := range r.Rows {
-		for _, c := range row.Cells {
-			scope := fmt.Sprintf("faults/intensity=%g/%s", row.Intensity, c.Protocol)
-			rows = append(rows, c.Obs.Rows(scope)...)
-		}
-	}
-	obs.SortRows(rows)
-	return rows
-}
-
-// SeriesRows exports every cell's windowed samples (when the run had
-// Options.Series), each row scoped "faults/intensity=<i>/<protocol>",
-// sorted by (scope, window, name, kind). Nil-Series cells contribute
-// nothing.
-func (r *FaultsResult) SeriesRows() []obs.SeriesRow {
-	var rows []obs.SeriesRow
-	for _, row := range r.Rows {
-		for _, c := range row.Cells {
-			scope := fmt.Sprintf("faults/intensity=%g/%s", row.Intensity, c.Protocol)
-			rows = append(rows, obs.SeriesRows(c.Series.Points(), scope)...)
-		}
-	}
-	obs.SortSeriesRows(rows)
-	return rows
+	return &FaultsResult{Opts: opts, Grid: g}, nil
 }
 
 // WriteTable prints the degradation table: (a) OCR, (b) time to first
@@ -204,11 +86,11 @@ func (r *FaultsResult) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "density %g vpl; profile at intensity 1: %+v\n", r.Opts.DensityVPL, r.Opts.Profile)
 	metricsOf := []struct {
 		name string
-		get  func(FaultsCell) float64
+		get  func(Cell) float64
 	}{
-		{"(a) OCR", func(c FaultsCell) float64 { return c.Summary.MeanOCR }},
-		{"(b) first-exchange latency (ms)", func(c FaultsCell) float64 { return c.MeanLatencySec * 1e3 }},
-		{"(c) ATP", func(c FaultsCell) float64 { return c.Summary.MeanATP }},
+		{"(a) OCR", func(c Cell) float64 { return c.Summary.MeanOCR }},
+		{"(b) first-exchange latency (ms)", func(c Cell) float64 { return c.MeanLatencySec * 1e3 }},
+		{"(c) ATP", func(c Cell) float64 { return c.Summary.MeanATP }},
 	}
 	for _, m := range metricsOf {
 		fmt.Fprintf(w, "%s:\n%-10s", m.name, "intensity")
@@ -217,7 +99,7 @@ func (r *FaultsResult) WriteTable(w io.Writer) {
 		}
 		fmt.Fprintln(w)
 		for _, row := range r.Rows {
-			fmt.Fprintf(w, "%-10.2f", row.Intensity)
+			fmt.Fprintf(w, "%-10.2f", row.X)
 			for _, c := range row.Cells {
 				if math.IsNaN(m.get(c)) {
 					fmt.Fprintf(w, "  %-10s", "-")
@@ -238,4 +120,21 @@ func (r *FaultsResult) WriteTable(w io.Writer) {
 	if retried > 0 || failed > 0 {
 		fmt.Fprintf(w, "trial health: %d retried, %d failed after retries\n", retried, failed)
 	}
+}
+
+// WriteCSV emits intensity, protocol, ocr, atp, dtp, first_exchange_sec,
+// trials, retried, failures rows.
+func (r *FaultsResult) WriteCSV(w io.Writer) error {
+	header := []string{"protocol", "ocr", "atp", "dtp", "first_exchange_sec", "trials", "retried", "failures"}
+	return r.writeCSV(w, header, func(_ GridRow, c Cell) []string {
+		lat := ""
+		if !math.IsNaN(c.MeanLatencySec) {
+			lat = f(c.MeanLatencySec)
+		}
+		return []string{
+			c.Protocol,
+			f(c.Summary.MeanOCR), f(c.Summary.MeanATP), f(c.Summary.MeanDTP),
+			lat, strconv.Itoa(c.Trials), strconv.Itoa(c.Retried), strconv.Itoa(c.Failures),
+		}
+	})
 }

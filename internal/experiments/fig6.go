@@ -15,9 +15,7 @@ import (
 // negotiation slots, for C = 1..12, under four traffic scenarios whose
 // average neighbor counts are ≈5, 6, 7 and 8.
 type Fig6Options struct {
-	Seed uint64
-	// Trials per (scenario, C) cell.
-	Trials int
+	Run
 	// Densities are calibrated so the average LOS neighbor count matches
 	// the paper's 5, 6, 7, 8 labels (see the world-package calibration).
 	Densities []float64
@@ -29,20 +27,12 @@ type Fig6Options struct {
 	// Frames averaged per trial (matching evolves identically each frame in
 	// a near-static topology, so a few suffice).
 	Frames int
-	// Workers bounds concurrent trial simulations across all
-	// (scenario, C) cells (0 = GOMAXPROCS). The curves are identical for
-	// any value.
-	Workers int
-	// Progress, when non-nil, is invoked once per completed (density, C)
-	// cell; must be safe for concurrent use.
-	Progress func(cell string)
 }
 
 // DefaultFig6Options returns the paper's configuration.
 func DefaultFig6Options() Fig6Options {
 	return Fig6Options{
-		Seed:      1,
-		Trials:    3,
+		Run:       Run{Seed: 1, Trials: 3},
 		Densities: []float64{12, 15, 17, 19},
 		CValues:   []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12},
 		MaxSlots:  80,
@@ -76,26 +66,24 @@ type Fig6Result struct {
 // over mutually agreed pairs of the interference-free MCS rate their
 // refined beams would achieve, divided by the number of vehicles.
 func Fig6(opts Fig6Options) (*Fig6Result, error) {
-	if opts.Trials <= 0 || opts.MaxSlots <= 0 || opts.Frames <= 0 {
+	if opts.MaxSlots <= 0 || opts.Frames <= 0 {
 		return nil, fmt.Errorf("experiments: invalid Fig6 options %+v", opts)
 	}
 	// One cell per (scenario, C) pair; within a cell, each trial runs on the
 	// shared pool with its own environment and per-slot sums, which merge in
 	// trial order so the curves are identical for any worker count.
-	runner := sim.NewRunner(opts.Workers)
 	nc := len(opts.CValues)
 	type fig6Cell struct {
 		sums []float64
 		avgN float64
 	}
-	cells := make([]fig6Cell, len(opts.Densities)*nc)
-	err := sim.Gather(len(cells), func(k int) error {
+	cells, err := sweep("fig6", opts.Run, len(opts.Densities)*nc, func(runner *sim.Runner, k int) (fig6Cell, string, error) {
 		di, ci := k/nc, k%nc
 		c := opts.CValues[ci]
 		trialSums := make([][]float64, opts.Trials)
 		trialAvgN := make([]float64, opts.Trials)
 		if err := runner.Do(opts.Trials, func(trial int) error {
-			cfg := scenario(opts.Densities[di], trialSeed(opts.Seed, trial))
+			cfg := sim.DefaultConfig(opts.Densities[di], trialSeed(opts.Seed, trial))
 			// A huge demand keeps every pair hungry: Fig. 6 measures
 			// matching capacity, not task completion.
 			cfg.DemandBits = 1e15
@@ -116,18 +104,16 @@ func Fig6(opts Fig6Options) (*Fig6Result, error) {
 			trialAvgN[trial] = env.World.AvgNeighborCount()
 			return nil
 		}); err != nil {
-			return err
+			return fig6Cell{}, "", err
 		}
-		cell := &cells[k]
-		cell.sums = make([]float64, opts.MaxSlots)
+		cell := fig6Cell{sums: make([]float64, opts.MaxSlots)}
 		for trial := 0; trial < opts.Trials; trial++ {
 			for m, v := range trialSums[trial] {
 				cell.sums[m] += v
 			}
 			cell.avgN += trialAvgN[trial] / float64(opts.Trials)
 		}
-		reportProgress(opts.Progress, "fig6 density=%g C=%d", opts.Densities[di], c)
-		return nil
+		return cell, fmt.Sprintf("fig6 density=%g C=%d", opts.Densities[di], c), nil
 	})
 	if err != nil {
 		return nil, err

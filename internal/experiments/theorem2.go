@@ -125,7 +125,7 @@ func Theorem2(opts Theorem2Options) (*Theorem2Result, error) {
 // series is monotone in expectation and comparable to the coin model's
 // 1 − (0.5³)^f).
 func simDiscoveryConvergence(density float64, seed uint64, frames int) ([]float64, error) {
-	cfg := scenario(density, seed)
+	cfg := sim.DefaultConfig(density, seed)
 	env, err := sim.NewEnv(cfg)
 	if err != nil {
 		return nil, err
@@ -159,7 +159,7 @@ func simDiscoveryConvergence(density float64, seed uint64, frames int) ([]float6
 // simDiscoveryRatio measures the fraction of true LOS neighbors a vehicle
 // identifies after one frame of SND with the given K.
 func simDiscoveryRatio(density float64, seed uint64, k int) (float64, error) {
-	cfg := scenario(density, seed)
+	cfg := sim.DefaultConfig(density, seed)
 	env, err := sim.NewEnv(cfg)
 	if err != nil {
 		return 0, err

@@ -14,22 +14,17 @@ import (
 // starts with empty discovery tables while later windows inherit the
 // working neighbor set ∪_f N_i^f. This experiment quantifies the warm-start
 // benefit across consecutive windows.
+//
+// Each trial is one cell: Progress fires once per completed trial.
 type WarmupOptions struct {
-	Seed       uint64
-	Trials     int
+	Run
 	DensityVPL float64
 	Windows    int
-	// Workers bounds concurrent trial simulations (0 = GOMAXPROCS). The
-	// table is identical for any value.
-	Workers int
-	// Progress, when non-nil, is invoked once per completed trial; must be
-	// safe for concurrent use.
-	Progress func(cell string)
 }
 
 // DefaultWarmupOptions returns the standard setting.
 func DefaultWarmupOptions() WarmupOptions {
-	return WarmupOptions{Seed: 1, Trials: 3, DensityVPL: 20, Windows: 3}
+	return WarmupOptions{Run: Run{Seed: 1, Trials: 3}, DensityVPL: 20, Windows: 3}
 }
 
 // WarmupRow is one window's pooled metrics.
@@ -46,22 +41,19 @@ type WarmupResult struct {
 
 // Warmup runs the study.
 func Warmup(opts WarmupOptions) (*WarmupResult, error) {
-	if opts.Trials <= 0 || opts.Windows <= 0 {
-		return nil, fmt.Errorf("experiments: invalid warmup options %+v", opts)
-	}
-	// Trials run on the pool into a slot-per-trial buffer; the per-window
-	// pools below merge in trial order, independent of completion order.
-	runner := sim.NewRunner(opts.Workers)
-	results := make([]*sim.Result, opts.Trials)
-	err := runner.Do(opts.Trials, func(trial int) error {
-		cfg := scenario(opts.DensityVPL, trialSeed(opts.Seed, trial))
+	// Each trial is its own cell, and its sim.Run holds a pool slot
+	// (Runner.Do), so Workers bounds the trials. The per-window pools below
+	// merge in trial order, independent of completion order.
+	results, err := sweep("warmup", opts.Run, opts.Trials, func(runner *sim.Runner, trial int) (*sim.Result, string, error) {
+		cfg := sim.DefaultConfig(opts.DensityVPL, trialSeed(opts.Seed, trial))
 		cfg.Windows = opts.Windows
-		res, err := sim.Run(cfg, core.Factory(core.DefaultParams()))
-		results[trial] = res
-		if err == nil {
-			reportProgress(opts.Progress, "warmup trial=%d", trial)
-		}
-		return err
+		var res *sim.Result
+		err := runner.Do(1, func(int) error {
+			var err error
+			res, err = sim.Run(cfg, core.Factory(core.DefaultParams()))
+			return err
+		})
+		return res, fmt.Sprintf("warmup trial=%d", trial), err
 	})
 	if err != nil {
 		return nil, err

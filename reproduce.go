@@ -7,6 +7,11 @@ import "mmv2v/internal/experiments"
 // returns a typed result that can print itself as a text table whose
 // rows/series mirror the corresponding figure.
 
+// ExperimentRun is the execution setting (seed, trials per cell, worker
+// bound, per-cell progress callback) embedded as Run in every experiment's
+// options except Theorem2Options.
+type ExperimentRun = experiments.Run
+
 // Fig6Options parameterize the Fig. 6 study (CNS constant C).
 type Fig6Options = experiments.Fig6Options
 
