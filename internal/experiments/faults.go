@@ -123,9 +123,9 @@ func (r *FaultsResult) WriteTable(w io.Writer) {
 }
 
 // WriteCSV emits intensity, protocol, ocr, atp, dtp, first_exchange_sec,
-// trials, retried, failures rows.
+// trials, failures rows.
 func (r *FaultsResult) WriteCSV(w io.Writer) error {
-	header := []string{"protocol", "ocr", "atp", "dtp", "first_exchange_sec", "trials", "retried", "failures"}
+	header := []string{"protocol", "ocr", "atp", "dtp", "first_exchange_sec", "trials", "failures"}
 	return r.writeCSV(w, header, func(_ GridRow, c Cell) []string {
 		lat := ""
 		if !math.IsNaN(c.MeanLatencySec) {
@@ -134,7 +134,7 @@ func (r *FaultsResult) WriteCSV(w io.Writer) error {
 		return []string{
 			c.Protocol,
 			f(c.Summary.MeanOCR), f(c.Summary.MeanATP), f(c.Summary.MeanDTP),
-			lat, strconv.Itoa(c.Trials), strconv.Itoa(c.Retried), strconv.Itoa(c.Failures),
+			lat, strconv.Itoa(c.Trials), strconv.Itoa(c.Failures),
 		}
 	})
 }
