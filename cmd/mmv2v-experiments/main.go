@@ -180,8 +180,7 @@ var runners = map[string]func(o *options, progress func(string)) (result, error)
 	"9": func(o *options, progress func(string)) (result, error) {
 		opts := mmv2v.DefaultFig9Options()
 		opts.Run = o.sweep(opts.Run, progress)
-		opts.Stats = o.statsOut != ""
-		opts.Series = o.seriesOut != ""
+		opts.Stats = o.statsOut != "" || o.seriesOut != ""
 		return mmv2v.ReproduceFig9(opts)
 	},
 	"t2": func(o *options, _ func(string)) (result, error) {
@@ -202,8 +201,7 @@ var runners = map[string]func(o *options, progress func(string)) (result, error)
 	"faults": func(o *options, progress func(string)) (result, error) {
 		opts := mmv2v.DefaultFaultsOptions()
 		opts.Run = o.sweep(opts.Run, progress)
-		opts.Stats = o.statsOut != ""
-		opts.Series = o.seriesOut != ""
+		opts.Stats = o.statsOut != "" || o.seriesOut != ""
 		return mmv2v.RunFaultSweep(opts)
 	},
 	"city": func(o *options, progress func(string)) (result, error) {

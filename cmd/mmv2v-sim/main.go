@@ -19,27 +19,29 @@
 // -faults scales the standard fault profile (control loss, blockage bursts,
 // radio churn, slot jitter; see internal/faults) by the given intensity;
 // 0 (the default) is a clean channel. Trials are crash-isolated: a trial
-// that panics is re-executed from its seed up to -retry times and then
-// reported on stderr as a TrialError with a repro command, while the
-// remaining trials still pool. Every trial is a pure function of its seed,
-// so an interrupted run is recovered by running it again. -runlog <file>
-// records a replayable run log of the whole pooled run — re-render or
-// verify it with mmv2v-replay. See DESIGN.md §11.
+// that panics is reported on stderr as a TrialError with a repro command,
+// while the remaining trials still pool. Every trial is a pure function of
+// its seed, so the repro command re-raises the crash, and an interrupted
+// run is recovered by running it again. -runlog <file> records a
+// replayable run log of the whole pooled run — re-render or verify it with
+// mmv2v-replay. See DESIGN.md §11.
 //
 // -stats <path> records per-layer statistics (discovery sweeps, control
 // frames, SINR histograms, airtime per MCS, ...) and writes them to the
 // path as JSON Lines — or CSV when the path ends in .csv — plus a summary
 // table; see DESIGN.md §9 for the schema. -cpuprofile/-memprofile write
-// pprof profiles of the run.
+// pprof profiles of the run, -drive included.
 //
-// -series <path> additionally samples the statistics registry at every
-// window boundary and writes the per-window deltas as JSON Lines (CSV when
-// the path ends in .csv), one scope per protocol. -http <addr> serves live
-// run telemetry — /healthz, /metrics, /series, /progress and
-// /debug/pprof/ — while the run executes; it implies -series sampling
-// (which, like -stats, is part of the scenario fingerprint) but changes
-// nothing on stdout. Under -drive the HTTP surface reports per-refresh
-// link-table gauges instead. See DESIGN.md §9 for the contract.
+// -series <path> writes the registry's per-window deltas, sampled at every
+// window boundary, as JSON Lines (CSV when the path ends in .csv), one
+// scope per protocol. -http <addr> serves live run telemetry — /healthz,
+// /metrics, /series, /progress and /debug/pprof/ — while the run executes
+// and changes nothing on stdout. Both record statistics exactly as -stats
+// does (part of the scenario fingerprint); each flag only chooses what is
+// written. Under -drive, which runs no protocol and so takes none of
+// -stats, -series, -trace or -runlog, the HTTP surface reports
+// per-refresh link-table gauges instead. See DESIGN.md §9 for the
+// contract.
 package main
 
 import (
@@ -76,7 +78,6 @@ type options struct {
 	jsonOut   bool
 	traceOut  string
 	intensity float64
-	retry     int
 	statsOut  string
 	cpuOut    string
 	memOut    string
@@ -109,7 +110,6 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.BoolVar(&o.jsonOut, "json", false, "emit per-protocol summaries as JSON instead of a table")
 	fs.StringVar(&o.traceOut, "trace", "", "write protocol events as JSON Lines to this file")
 	fs.Float64Var(&o.intensity, "faults", 0, "fault-injection intensity: scales the standard stress profile (0 = clean channel, 1 = full profile)")
-	fs.IntVar(&o.retry, "retry", 0, "re-execute a failed trial from its seed up to this many times before recording it as lost")
 	fs.StringVar(&o.statsOut, "stats", "", "record per-layer statistics and write them to this file (CSV if the path ends in .csv, JSON Lines otherwise)")
 	fs.StringVar(&o.cpuOut, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	fs.StringVar(&o.memOut, "memprofile", "", "write a pprof heap profile at the end of the run to this file")
@@ -121,8 +121,8 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.gridVeh, "grid-vehicles", 0, "grid world: vehicle count (0 = 240 for protocol runs, 10000 for -drive)")
 	fs.Float64Var(&o.driveSec, "drive", 0, "drive traffic + link refreshes for this many simulated seconds without a protocol (grid world scale mode)")
 	fs.Float64Var(&o.refreshMs, "refresh-ms", 100, "scale drive: link-table refresh period in simulated ms (traffic always steps at 5 ms)")
-	fs.StringVar(&o.seriesOut, "series", "", "sample per-layer statistics at every window boundary and write the per-window deltas to this file (CSV if the path ends in .csv, JSON Lines otherwise)")
-	fs.StringVar(&o.httpAddr, "http", "", "serve live run telemetry (/healthz /metrics /series /progress /debug/pprof/) on this address; implies -series sampling")
+	fs.StringVar(&o.seriesOut, "series", "", "record per-layer statistics and write their per-window deltas to this file (CSV if the path ends in .csv, JSON Lines otherwise)")
+	fs.StringVar(&o.httpAddr, "http", "", "serve live run telemetry (/healthz /metrics /series /progress /debug/pprof/) on this address; records per-layer statistics like -stats")
 	return o
 }
 
@@ -141,8 +141,12 @@ func (o *options) check() error {
 		if o.worldKind != "grid" {
 			return fmt.Errorf("-drive requires -world grid")
 		}
-		if o.seriesOut != "" {
-			return fmt.Errorf("-drive runs no protocol and samples no registry; drop -series")
+		for _, f := range []struct{ flag, path string }{
+			{"-stats", o.statsOut}, {"-series", o.seriesOut}, {"-trace", o.traceOut}, {"-runlog", o.runlogOut},
+		} {
+			if f.path != "" {
+				return fmt.Errorf("-drive runs no protocol and writes no %s output; drop %[1]s", f.flag)
+			}
 		}
 		return nil
 	}
@@ -160,7 +164,7 @@ func (o *options) check() error {
 			return fmt.Errorf("-runlog records metric tables, not the -stats registry; drop one of the two")
 		}
 		if o.seriesOut != "" || o.httpAddr != "" {
-			return fmt.Errorf("-runlog's recorded recipe cannot reproduce the series registry; drop -series/-http")
+			return fmt.Errorf("-runlog's recorded recipe cannot reproduce the statistics registry; drop -series/-http")
 		}
 	}
 	return nil
@@ -173,14 +177,12 @@ func (o *options) scenario() mmv2v.ScenarioConfig {
 		grid := gridConfig(o.gridRows, o.gridCols, o.gridBlock, o.gridVeh, protocolGridDefaults)
 		cfg = mmv2v.GridScenario(grid, o.seed)
 	}
-	cfg.Stats = o.statsOut != ""
-	// -http implies the windowed series so /series and /metrics have data;
-	// both knobs are scenario-defining (fingerprint) like -stats.
-	cfg.Series = o.seriesOut != "" || o.httpAddr != ""
+	// -series and -http read the same registry -stats writes out, so any of
+	// the three records it; Stats is scenario-defining (fingerprint).
+	cfg.Stats = o.statsOut != "" || o.seriesOut != "" || o.httpAddr != ""
 	cfg.WindowSec = o.seconds
 	cfg.Windows = o.windows
 	cfg.DemandBits = o.demand
-	cfg.Retry = o.retry
 	if o.intensity > 0 {
 		profile := mmv2v.DefaultFaultConfig().Scale(o.intensity)
 		cfg.Faults = &profile
@@ -206,10 +208,6 @@ func run() (err error) {
 		defer func() { _ = srv.Close() }()
 		fmt.Fprintf(os.Stderr, "mmv2v-sim: live introspection on http://%s\n", addr)
 	}
-	if o.driveSec > 0 {
-		return driveGrid(gridConfig(o.gridRows, o.gridCols, o.gridBlock, o.gridVeh, driveGridDefaults), o.seed, o.driveSec, o.refreshMs, srv)
-	}
-
 	if o.cpuOut != "" {
 		f, err := os.Create(o.cpuOut)
 		if err != nil {
@@ -223,6 +221,12 @@ func run() (err error) {
 			return err
 		}
 		defer pprof.StopCPUProfile()
+	}
+	if o.driveSec > 0 {
+		if err := driveGrid(gridConfig(o.gridRows, o.gridCols, o.gridBlock, o.gridVeh, driveGridDefaults), o.seed, o.driveSec, o.refreshMs, srv); err != nil {
+			return err
+		}
+		return writeMemProfile(o.memOut)
 	}
 
 	cfg := o.scenario()
@@ -316,9 +320,9 @@ func run() (err error) {
 		for _, te := range res.Failures {
 			fmt.Fprintf(os.Stderr, "mmv2v-sim: %v\n", te)
 		}
-		if res.Retried > 0 || len(res.Failures) > 0 {
-			fmt.Fprintf(os.Stderr, "mmv2v-sim: %s: %d/%d trial(s) pooled (%d retried, %d lost)\n",
-				res.Protocol, res.Trials, o.trials, res.Retried, len(res.Failures))
+		if len(res.Failures) > 0 {
+			fmt.Fprintf(os.Stderr, "mmv2v-sim: %s: %d/%d trial(s) pooled (%d lost)\n",
+				res.Protocol, res.Trials, o.trials, len(res.Failures))
 		}
 		if o.jsonOut {
 			rows = append(rows, jsonRow{

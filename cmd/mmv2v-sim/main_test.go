@@ -4,6 +4,9 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -43,6 +46,10 @@ func TestCheckFlagRules(t *testing.T) {
 		{"grid drive", []string{"-world", "grid", "-drive", "2"}, ""},
 		{"drive needs grid", []string{"-drive", "2"}, "-drive requires -world grid"},
 		{"drive rejects series", []string{"-world", "grid", "-drive", "2", "-series", "s.jsonl"}, "drop -series"},
+		{"drive rejects stats", []string{"-world", "grid", "-drive", "2", "-stats", "s.jsonl"}, "drop -stats"},
+		{"drive rejects trace", []string{"-world", "grid", "-drive", "2", "-trace", "t.jsonl"}, "drop -trace"},
+		{"drive rejects runlog", []string{"-world", "grid", "-drive", "2", "-runlog", "run.log"}, "drop -runlog"},
+		{"drive profiles", []string{"-world", "grid", "-drive", "2", "-cpuprofile", "p", "-memprofile", "m", "-http", "127.0.0.1:0"}, ""},
 		{"unknown world", []string{"-world", "moon"}, `unknown world "moon"`},
 		{"unknown protocol", []string{"-protocol", "tcp"}, `unknown protocol "tcp"`},
 		{"negative faults", []string{"-faults", "-1"}, "negative fault intensity"},
@@ -90,5 +97,26 @@ func TestReproRebuildsScenario(t *testing.T) {
 				t.Errorf("repro %q rebuilds\n  %+v\nwant\n  %+v", repro, got, cfg)
 			}
 		})
+	}
+}
+
+// TestDriveWritesProfiles runs a tiny -drive on the built binary and checks
+// that -cpuprofile and -memprofile cover it, as they cover protocol runs.
+func TestDriveWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "mmv2v-sim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	out, err := exec.Command(bin, "-world", "grid", "-drive", "0.1", "-grid-vehicles", "100", "-rows", "3", "-cols", "3",
+		"-cpuprofile", cpu, "-memprofile", mem).CombinedOutput()
+	if err != nil {
+		t.Fatalf("drive: %v\n%s", err, out)
+	}
+	for _, p := range []string{cpu, mem} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s not written: %v", filepath.Base(p), err)
+		}
 	}
 }

@@ -26,13 +26,9 @@ type FaultsOptions struct {
 	Intensities []float64
 	// Profile is the intensity-1 fault mix.
 	Profile faults.Config
-	// Retry is the per-trial retry budget forwarded to sim.Config.
-	Retry int
-	// Stats enables per-cell layer statistics (see Fig9Options.Stats).
+	// Stats enables per-cell layer statistics and their per-window series
+	// (see Fig9Options.Stats).
 	Stats bool
-	// Series additionally samples each cell's registry at every window
-	// boundary (see Fig9Options.Series).
-	Series bool
 }
 
 // DefaultFaultsOptions returns the default sweep: the paper's 20 vpl
@@ -65,9 +61,7 @@ func FaultSweep(opts FaultsOptions) (*FaultsResult, error) {
 			if opts.WindowSec > 0 {
 				cfg.WindowSec = opts.WindowSec
 			}
-			cfg.Retry = opts.Retry
 			cfg.Stats = opts.Stats
-			cfg.Series = opts.Series
 			profile := opts.Profile.Scale(intensity)
 			cfg.Faults = &profile
 			return cfg
@@ -80,7 +74,7 @@ func FaultSweep(opts FaultsOptions) (*FaultsResult, error) {
 
 // WriteTable prints the degradation table: (a) OCR, (b) time to first
 // exchange, (c) ATP by intensity and protocol, plus a crash-isolation
-// summary line when any trial was retried or lost.
+// summary line when any trial was lost.
 func (r *FaultsResult) WriteTable(w io.Writer) {
 	writeHeader(w, "Fault sweep — graceful degradation under channel/radio faults")
 	fmt.Fprintf(w, "density %g vpl; profile at intensity 1: %+v\n", r.Opts.DensityVPL, r.Opts.Profile)
@@ -110,15 +104,14 @@ func (r *FaultsResult) WriteTable(w io.Writer) {
 			fmt.Fprintln(w)
 		}
 	}
-	retried, failed := 0, 0
+	failed := 0
 	for _, row := range r.Rows {
 		for _, c := range row.Cells {
-			retried += c.Retried
 			failed += c.Failures
 		}
 	}
-	if retried > 0 || failed > 0 {
-		fmt.Fprintf(w, "trial health: %d retried, %d failed after retries\n", retried, failed)
+	if failed > 0 {
+		fmt.Fprintf(w, "trial health: %d trial(s) failed\n", failed)
 	}
 }
 

@@ -20,13 +20,10 @@ type Fig9Options struct {
 	// series (not in the paper; useful context).
 	IncludeOracle bool
 	// Stats enables per-cell layer statistics: each cell's pooled
-	// obs.Registry lands in its Cell and StatsRows exports the whole
-	// grid. Off (the default), cells carry a nil registry at zero cost.
+	// obs.Registry and its per-window obs.Series land in its Cell, and
+	// StatsRows and SeriesRows export the whole grid. Off (the default),
+	// cells carry neither, at zero cost.
 	Stats bool
-	// Series additionally samples each cell's registry at every window
-	// boundary (implies the registry): the pooled series lands in the cell
-	// and SeriesRows exports the whole grid.
-	Series bool
 }
 
 // DefaultFig9Options returns the paper's configuration (densities 15–30
@@ -54,7 +51,6 @@ func Fig9(opts Fig9Options) (*Fig9Result, error) {
 		func(density float64) sim.Config {
 			cfg := sim.DefaultConfig(density, opts.Seed)
 			cfg.Stats = opts.Stats
-			cfg.Series = opts.Series
 			return cfg
 		})
 	if err != nil {

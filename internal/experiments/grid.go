@@ -23,16 +23,13 @@ type Cell struct {
 	// MeanLatencySec is the mean time from window start to each neighbor
 	// pair's first exchanged bit (NaN when nothing was exchanged).
 	MeanLatencySec float64
-	// Trials/Retried/Failures echo the crash-isolation summary of the
-	// cell's pooled run.
+	// Trials/Failures echo the crash-isolation summary of the cell's
+	// pooled run.
 	Trials   int
-	Retried  int
 	Failures int
-	// Obs is the cell's pooled layer statistics (nil unless the options set
-	// Stats).
-	Obs *obs.Registry
-	// Series is the cell's pooled windowed samples (nil unless the options
-	// set Series).
+	// Obs and Series are the cell's pooled layer statistics and windowed
+	// samples (nil unless the options set Stats).
+	Obs    *obs.Registry
 	Series *obs.Series
 }
 
@@ -50,7 +47,6 @@ func newCell(pooled *sim.Result) Cell {
 		OCRCI95:        ci,
 		MeanLatencySec: pooled.MeanLatencySec(),
 		Trials:         pooled.Trials,
-		Retried:        pooled.Retried,
 		Failures:       len(pooled.Failures),
 		Obs:            pooled.Obs,
 		Series:         pooled.Series,

@@ -29,7 +29,7 @@ func exports(t *testing.T, rows []obs.Row, series []obs.SeriesRow) (stats, ser [
 }
 
 // TestFig9StatsByteIdenticalAcrossWorkers pins the observability merge
-// invariant at the experiment level: with Stats and Series on, the stats
+// invariant at the experiment level: with Stats on, the stats
 // and series JSONL exports and the rendered summary table of the Fig. 9
 // scenario are byte-identical whether cells and trials run on one worker or
 // eight — and so is the figure table itself. The serial exports are also
@@ -39,7 +39,7 @@ func TestFig9StatsByteIdenticalAcrossWorkers(t *testing.T) {
 		t.Skip("experiment determinism test")
 	}
 	render := func(workers int) (table, jsonl, series, summary []byte) {
-		opts := Fig9Options{Run: Run{Seed: 1, Trials: 2, Workers: workers}, Densities: []float64{12}, Stats: true, Series: true}
+		opts := Fig9Options{Run: Run{Seed: 1, Trials: 2, Workers: workers}, Densities: []float64{12}, Stats: true}
 		res, err := Fig9(opts)
 		if err != nil {
 			t.Fatal(err)
@@ -78,7 +78,7 @@ func TestFaultSweepStatsSeriesGolden(t *testing.T) {
 	res, err := FaultSweep(FaultsOptions{
 		Run: Run{Seed: 1, Trials: 1}, DensityVPL: 12, WindowSec: 0.2,
 		Intensities: []float64{0, 1}, Profile: faults.DefaultConfig(),
-		Stats: true, Series: true,
+		Stats: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ type ProgressState struct {
 
 // Fraction estimates completed work in [0, 1] from the finest level with a
 // known total: windows, then trials, then cells. It returns 0 when no level
-// has a total, and clamps overshoot (e.g. retried trials) to 1.
+// has a total, and clamps overshoot to 1.
 func (p ProgressState) Fraction() float64 {
 	frac := 0.0
 	switch {

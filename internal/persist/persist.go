@@ -63,11 +63,8 @@ func (e *Encoder) U32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf
 // U8 appends one byte.
 func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
 
-// I64 appends a signed 64-bit value (two's complement).
-func (e *Encoder) I64(v int64) { e.U64(uint64(v)) }
-
-// Int appends an int as a signed 64-bit value.
-func (e *Encoder) Int(v int) { e.I64(int64(v)) }
+// Int appends an int as a signed 64-bit value (two's complement).
+func (e *Encoder) Int(v int) { e.U64(uint64(int64(v))) }
 
 // F64 appends a float64 bit-exactly (IEEE 754 bits; NaN payloads and
 // signed zeros round-trip).
@@ -88,12 +85,6 @@ func (e *Encoder) String(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-// Blob appends a length-prefixed byte slice (a nested payload).
-func (e *Encoder) Blob(b []byte) {
-	e.U32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
 // Decoder reads the Encoder's wire format back with sticky-error
 // semantics: the first failure latches, every later read returns the zero
 // value, and Err reports the latched failure. No method panics on any
@@ -110,21 +101,11 @@ func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
 // Err returns the first decode failure, or nil.
 func (d *Decoder) Err() error { return d.err }
 
-// Remaining returns the number of unread bytes.
-func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
-
 // fail latches the first error.
 func (d *Decoder) fail(err error) {
 	if d.err == nil {
 		d.err = err
 	}
-}
-
-// Failf latches a caller-level structural error wrapping ErrCorrupt; used
-// by state loaders that discover an out-of-range value after a
-// syntactically valid read.
-func (d *Decoder) Failf(format string, args ...any) {
-	d.fail(fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...))
 }
 
 // take returns the next n bytes, or nil after latching ErrTruncated.
@@ -168,11 +149,8 @@ func (d *Decoder) U8() uint8 {
 	return b[0]
 }
 
-// I64 reads a signed 64-bit value.
-func (d *Decoder) I64() int64 { return int64(d.U64()) }
-
 // Int reads an int encoded by Encoder.Int.
-func (d *Decoder) Int() int { return int(d.I64()) }
+func (d *Decoder) Int() int { return int(int64(d.U64())) }
 
 // F64 reads a float64 bit-exactly.
 func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
@@ -190,12 +168,6 @@ func (d *Decoder) String() string {
 	return string(b)
 }
 
-// Blob reads a length-prefixed byte slice (aliasing the input buffer).
-func (d *Decoder) Blob() []byte {
-	n := int(d.U32())
-	return d.take(n)
-}
-
 // Count reads a u32 element count and validates it against the bytes that
 // remain, given a per-element lower bound in bytes. This clamps attacker-
 // controlled counts so loaders can allocate count-sized slices without an
@@ -209,7 +181,7 @@ func (d *Decoder) Count(minElemBytes int) int {
 	if minElemBytes < 1 {
 		minElemBytes = 1
 	}
-	if n > d.Remaining()/minElemBytes {
+	if n > (len(d.buf)-d.off)/minElemBytes {
 		d.fail(fmt.Errorf("%w: count %d exceeds remaining input", ErrCorrupt, n))
 		return 0
 	}
@@ -217,9 +189,9 @@ func (d *Decoder) Count(minElemBytes int) int {
 }
 
 // Record log: magic, format version, then a sequence of records, each
-// [type u8][len u32][crc u32][payload]. The log is append-only; a crash
-// mid-append leaves a short or checksum-broken tail, which ReadLog
-// recovers from by returning every record before it.
+// [type u8][len u32][crc u32][payload]. Logs are built in memory and
+// written whole with WriteFileAtomic, so a well-formed log never ends
+// mid-record: ReadLog reports a short tail as ErrTruncated.
 const (
 	logMagic   = "MMV2VLOG"
 	LogVersion = 1
@@ -252,42 +224,40 @@ func AppendRecord(log []byte, typ uint8, payload []byte) []byte {
 	return e.buf
 }
 
-// ReadLog parses a record log. It returns every intact record in order
-// plus a truncated flag: true when the log ends in an incomplete tail
-// (the signature of a crash mid-append), in which case the preceding
-// records are still returned and err is nil. A checksum mismatch on an
-// interior or complete record is real corruption and returns ErrChecksum
-// alongside the records that preceded it.
-func ReadLog(b []byte) (recs []Record, truncated bool, err error) {
+// ReadLog parses a record log and returns its records in order. A tail
+// too short for the record it starts fails with ErrTruncated, and a
+// checksum mismatch with ErrChecksum; either way the records before the
+// failure are returned alongside the error.
+func ReadLog(b []byte) ([]Record, error) {
 	if len(b) < logHdrLen {
-		return nil, false, fmt.Errorf("%w: %d-byte input shorter than log header", ErrTruncated, len(b))
+		return nil, fmt.Errorf("%w: %d-byte input shorter than log header", ErrTruncated, len(b))
 	}
 	if string(b[:8]) != logMagic {
-		return nil, false, fmt.Errorf("%w: want %q", ErrMagic, logMagic)
+		return nil, fmt.Errorf("%w: want %q", ErrMagic, logMagic)
 	}
 	if v := binary.LittleEndian.Uint32(b[8:12]); v != LogVersion {
-		return nil, false, fmt.Errorf("%w: log version %d (this build reads %d)", ErrVersion, v, LogVersion)
+		return nil, fmt.Errorf("%w: log version %d (this build reads %d)", ErrVersion, v, LogVersion)
 	}
-	off := logHdrLen
-	for off < len(b) {
+	var recs []Record
+	for off := logHdrLen; off < len(b); {
 		if len(b)-off < recHdrLen {
-			return recs, true, nil // short tail: torn final append
+			return recs, fmt.Errorf("%w: record %d header needs %d bytes, have %d", ErrTruncated, len(recs), recHdrLen, len(b)-off)
 		}
 		typ := b[off]
 		n := int(binary.LittleEndian.Uint32(b[off+1 : off+5]))
 		want := binary.LittleEndian.Uint32(b[off+5 : off+9])
 		if n > len(b)-off-recHdrLen {
-			return recs, true, nil // payload runs past EOF: torn final append
+			return recs, fmt.Errorf("%w: record %d payload needs %d bytes, have %d", ErrTruncated, len(recs), n, len(b)-off-recHdrLen)
 		}
 		payload := b[off+recHdrLen : off+recHdrLen+n]
 		if got := crc32c(payload); got != want {
-			return recs, false, fmt.Errorf("%w: record %d (type %d) CRC %08x, header says %08x",
+			return recs, fmt.Errorf("%w: record %d (type %d) CRC %08x, header says %08x",
 				ErrChecksum, len(recs), typ, got, want)
 		}
 		recs = append(recs, Record{Type: typ, Payload: payload})
 		off += recHdrLen + n
 	}
-	return recs, false, nil
+	return recs, nil
 }
 
 // WriteFileAtomic writes data to path via a same-directory temp file and

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"os"
@@ -13,15 +14,14 @@ func TestCodecRoundTrip(t *testing.T) {
 	e.U64(math.MaxUint64)
 	e.U32(0xdeadbeef)
 	e.U8(7)
-	e.I64(-42)
-	e.Int(-1)
+	e.Int(-42)
+	e.Int(math.MinInt64)
 	e.F64(math.Copysign(0, -1))
 	e.F64(math.Inf(1))
 	e.Bool(true)
 	e.Bool(false)
 	e.String("mmV2V")
-	e.Blob([]byte{1, 2, 3})
-	e.Blob(nil)
+	e.String("")
 
 	d := NewDecoder(e.Bytes())
 	if got := d.U64(); got != math.MaxUint64 {
@@ -33,11 +33,11 @@ func TestCodecRoundTrip(t *testing.T) {
 	if got := d.U8(); got != 7 {
 		t.Errorf("U8 = %d", got)
 	}
-	if got := d.I64(); got != -42 {
-		t.Errorf("I64 = %d", got)
-	}
-	if got := d.Int(); got != -1 {
+	if got := d.Int(); got != -42 {
 		t.Errorf("Int = %d", got)
+	}
+	if got := d.Int(); got != math.MinInt64 {
+		t.Errorf("Int min = %d", got)
 	}
 	if got := d.F64(); !math.Signbit(got) || got != 0 {
 		t.Errorf("F64 negative zero = %v", got)
@@ -51,17 +51,15 @@ func TestCodecRoundTrip(t *testing.T) {
 	if got := d.String(); got != "mmV2V" {
 		t.Errorf("String = %q", got)
 	}
-	if got := d.Blob(); len(got) != 3 || got[0] != 1 {
-		t.Errorf("Blob = %v", got)
-	}
-	if got := d.Blob(); len(got) != 0 {
-		t.Errorf("empty Blob = %v", got)
+	if got := d.String(); got != "" {
+		t.Errorf("empty String = %q", got)
 	}
 	if d.Err() != nil {
 		t.Fatalf("Err = %v", d.Err())
 	}
-	if d.Remaining() != 0 {
-		t.Errorf("Remaining = %d", d.Remaining())
+	// The whole input was consumed: one more byte is past the end.
+	if d.U8(); !errors.Is(d.Err(), ErrTruncated) {
+		t.Errorf("read past the end: Err = %v, want ErrTruncated", d.Err())
 	}
 }
 
@@ -96,43 +94,34 @@ func TestDecoderCountClamp(t *testing.T) {
 	}
 }
 
-func TestDecoderFailf(t *testing.T) {
-	d := NewDecoder(nil)
-	d.Failf("sector %d out of range", 99)
-	if !errors.Is(d.Err(), ErrCorrupt) {
-		t.Errorf("Err = %v, want ErrCorrupt", d.Err())
-	}
-}
-
 func TestLogRoundTrip(t *testing.T) {
 	log := NewLog()
 	log = AppendRecord(log, 1, []byte("header"))
 	log = AppendRecord(log, 2, []byte("window 0"))
 	log = AppendRecord(log, 2, nil)
-	recs, truncated, err := ReadLog(log)
-	if err != nil || truncated {
-		t.Fatalf("ReadLog: recs=%d truncated=%v err=%v", len(recs), truncated, err)
+	recs, err := ReadLog(log)
+	if err != nil {
+		t.Fatalf("ReadLog: recs=%d err=%v", len(recs), err)
 	}
 	if len(recs) != 3 || recs[0].Type != 1 || string(recs[1].Payload) != "window 0" || len(recs[2].Payload) != 0 {
 		t.Errorf("records = %+v", recs)
 	}
 }
 
-func TestLogTruncatedTailRecovery(t *testing.T) {
+// TestLogTruncatedTailFails pins that a log cut inside a record is an
+// error, not a shorter log: logs are written whole, so a short tail means
+// the file was damaged after it was written.
+func TestLogTruncatedTailFails(t *testing.T) {
 	log := NewLog()
-	log = AppendRecord(log, 1, []byte("keep me"))
-	full := AppendRecord(append([]byte(nil), log...), 2, []byte("torn away"))
-	// Cut the final append anywhere inside it: the first record survives.
+	log = AppendRecord(log, 1, []byte("first"))
+	full := AppendRecord(append([]byte(nil), log...), 2, []byte("cut short"))
 	for cut := len(log) + 1; cut < len(full); cut++ {
-		recs, truncated, err := ReadLog(full[:cut])
-		if err != nil {
-			t.Fatalf("cut %d: err = %v", cut, err)
+		recs, err := ReadLog(full[:cut])
+		if !errors.Is(err, ErrTruncated) {
+			t.Fatalf("cut %d: err = %v, want ErrTruncated", cut, err)
 		}
-		if !truncated {
-			t.Fatalf("cut %d: truncation not reported", cut)
-		}
-		if len(recs) != 1 || string(recs[0].Payload) != "keep me" {
-			t.Fatalf("cut %d: records = %+v", cut, recs)
+		if len(recs) != 1 || string(recs[0].Payload) != "first" {
+			t.Fatalf("cut %d: records before the cut = %+v", cut, recs)
 		}
 	}
 }
@@ -143,7 +132,7 @@ func TestLogInteriorCorruption(t *testing.T) {
 	mark := len(log)
 	log = AppendRecord(log, 2, []byte("second"))
 	log[mark+recHdrLen] ^= 0x40 // flip a payload bit of the complete second record
-	recs, _, err := ReadLog(log)
+	recs, err := ReadLog(log)
 	if !errors.Is(err, ErrChecksum) {
 		t.Fatalf("err = %v, want ErrChecksum", err)
 	}
@@ -153,15 +142,15 @@ func TestLogInteriorCorruption(t *testing.T) {
 }
 
 func TestLogRejectsBadHeader(t *testing.T) {
-	if _, _, err := ReadLog([]byte("short")); !errors.Is(err, ErrTruncated) {
+	if _, err := ReadLog([]byte("short")); !errors.Is(err, ErrTruncated) {
 		t.Errorf("short: %v", err)
 	}
-	if _, _, err := ReadLog([]byte("WRONGMAG\x01\x00\x00\x00")); !errors.Is(err, ErrMagic) {
+	if _, err := ReadLog([]byte("WRONGMAG\x01\x00\x00\x00")); !errors.Is(err, ErrMagic) {
 		t.Errorf("magic: %v", err)
 	}
 	bad := NewLog()
 	bad[8] = 99
-	if _, _, err := ReadLog(bad); !errors.Is(err, ErrVersion) {
+	if _, err := ReadLog(bad); !errors.Is(err, ErrVersion) {
 		t.Errorf("version: %v", err)
 	}
 }
@@ -188,9 +177,10 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 }
 
-// FuzzDecodeLog drives arbitrary bytes through the record-log reader; torn
-// tails must be flagged, interior corruption must error, and nothing may
-// panic.
+// FuzzDecodeLog drives arbitrary bytes through the record-log reader:
+// nothing may panic, and any input it accepts must be exactly the log its
+// records re-encode to, so a short tail or a flipped bit can never read as
+// a clean log.
 func FuzzDecodeLog(f *testing.F) {
 	log := NewLog()
 	log = AppendRecord(log, 1, []byte("header"))
@@ -201,13 +191,16 @@ func FuzzDecodeLog(f *testing.F) {
 	f.Add([]byte("MMV2VLOG"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		recs, truncated, err := ReadLog(b)
-		if err != nil && truncated {
-			t.Fatalf("both error (%v) and truncated", err)
+		recs, err := ReadLog(b)
+		if err != nil {
+			return
 		}
+		log := NewLog()
 		for _, r := range recs {
-			_ = r.Type
-			_ = len(r.Payload)
+			log = AppendRecord(log, r.Type, r.Payload)
+		}
+		if !bytes.Equal(log, b) {
+			t.Fatalf("accepted %d bytes that re-encode to %d different bytes", len(b), len(log))
 		}
 	})
 }

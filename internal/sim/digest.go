@@ -14,11 +14,11 @@ import (
 
 // Fingerprint hashes the scenario-defining configuration fields: everything
 // that changes what a trial computes (seed, traffic, world, timing, demand,
-// windows, warm-up, faults, stats, series) and nothing that only changes
-// how it is executed (workers, retry budget, tracing, monitoring). A run
-// log stores the fingerprint of the config it recorded, so replaying it
-// under a recipe that would compute something else fails loudly instead
-// of diverging silently.
+// windows, warm-up, faults, stats) and nothing that only changes how it is
+// executed (workers, tracing, monitoring). A run log stores the
+// fingerprint of the config it recorded, so replaying it under a recipe
+// that would compute something else fails loudly instead of diverging
+// silently.
 func Fingerprint(cfg Config) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "seed=%d|traffic=%#v|world=%#v|timing=%#v|demand=%d|winsec=%d|windows=%d|warmup=%d|stats=%t",
@@ -30,11 +30,6 @@ func Fingerprint(cfg Config) uint64 {
 	}
 	if cfg.Faults != nil {
 		fmt.Fprintf(h, "|faults=%#v", *cfg.Faults)
-	}
-	// Appended conditionally so every pre-series fingerprint (committed run
-	// logs) stays valid for runs without a series.
-	if cfg.Series {
-		fmt.Fprintf(h, "|series=true")
 	}
 	return h.Sum64()
 }

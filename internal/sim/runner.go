@@ -9,9 +9,10 @@
 // order, which makes the pooled output bit-identical to a serial loop for
 // every worker count — the invariant the determinism regression tests pin.
 //
-// Each trial runs under recover(): a panic (or error) is retried up to
-// Config.Retry times and then recorded as a TrialError carrying the
-// scenario, trial index, derived seed, stack and a repro command. RunTrials
+// Each trial runs under recover(): a panic (or error) is recorded as a
+// TrialError carrying the scenario, trial index, derived seed, stack and a
+// repro command. It is not retried in process: the trial is a pure function
+// of its seed, so the same failure would recur on every attempt. RunTrials
 // merges the surviving trials and only fails outright when no trial
 // succeeded.
 package sim
@@ -102,11 +103,10 @@ func Gather(n int, job func(i int) error) error {
 // index — so traced runs use every worker and still emit a deterministic
 // stream.
 //
-// Each trial is crash-isolated: a panicking or erroring trial is re-run up
-// to cfg.Retry times, and if it still fails it becomes a TrialError in
-// Result.Failures while the remaining trials complete and merge. The
-// returned error is non-nil only when every trial failed (the join of all
-// TrialErrors, lowest trial first).
+// Each trial is crash-isolated: a panicking or erroring trial becomes a
+// TrialError in Result.Failures while the remaining trials complete and
+// merge. The returned error is non-nil only when every trial failed (the
+// join of all TrialErrors, lowest trial first).
 func (r *Runner) RunTrials(cfg Config, factory Factory, trials int) (*Result, error) {
 	return r.RunTrialsEach(cfg, factory, trials, nil)
 }
@@ -124,34 +124,18 @@ func (r *Runner) RunTrialsEach(cfg Config, factory Factory, trials int, each fun
 	results := make([]*Result, trials)
 	failures := make([]*TrialError, trials)
 	captures := make([]*trace.Capture, trials)
-	var retriedMu sync.Mutex
-	retried := 0
 	_ = r.Do(trials, func(tr int) error {
 		c := cfg
 		c.Seed = xrand.Mix(cfg.Seed, uint64(tr))
 		c.Trial = tr
-		var res *Result
-		var err error
-		for attempt := 0; attempt <= cfg.Retry; attempt++ {
-			if attempt > 0 {
-				retriedMu.Lock()
-				retried++
-				retriedMu.Unlock()
-			}
-			// Each attempt traces into a fresh private capture so a
-			// retried crash leaves no partial events behind; only the
-			// succeeding attempt's capture is kept for replay.
-			var cp *trace.Capture
-			if cfg.Trace != nil {
-				cp = trace.NewCapture()
-				c.Trace = trace.New(cp)
-			}
-			res, err = runIsolated(c, factory)
-			if err == nil {
-				captures[tr] = cp
-				break
-			}
+		// Each trial traces into its own private capture; a crashed
+		// trial's partial events are dropped with it.
+		var cp *trace.Capture
+		if cfg.Trace != nil {
+			cp = trace.NewCapture()
+			c.Trace = trace.New(cp)
 		}
+		res, err := runIsolated(c, factory)
 		if err != nil {
 			te := &TrialError{
 				Scenario: scenarioLabel(c),
@@ -169,6 +153,7 @@ func (r *Runner) RunTrialsEach(cfg Config, factory Factory, trials int, each fun
 			return te
 		}
 		results[tr] = res
+		captures[tr] = cp
 		return nil
 	})
 	if cfg.Trace != nil {
@@ -192,7 +177,6 @@ func (r *Runner) RunTrialsEach(cfg Config, factory Factory, trials int, each fun
 		}
 	}
 	pooled := MergeTrials(results)
-	pooled.Retried = retried
 	for _, f := range failures {
 		if f != nil {
 			pooled.Failures = append(pooled.Failures, f)

@@ -164,31 +164,6 @@ func TestRunTrialsRecoversPanicIntoTrialError(t *testing.T) {
 	}
 }
 
-// TestRunTrialsRetryRecoversFlakyTrial checks the bounded retry policy: a
-// trial that fails on its first attempt only is salvaged and counted.
-func TestRunTrialsRetryRecoversFlakyTrial(t *testing.T) {
-	cfg := sim.DefaultConfig(10, 5)
-	cfg.WindowSec = 0.1
-	cfg.Workers = 2
-	cfg.Retry = 1
-	badSeed := xrand.Mix(cfg.Seed, 2)
-	var tripped atomic.Bool
-	factory := func(env *sim.Env) sim.Protocol {
-		if env.Seed == badSeed && tripped.CompareAndSwap(false, true) {
-			panic("flaky first attempt")
-		}
-		return greedyFactory()(env)
-	}
-	res, err := sim.RunTrials(cfg, factory, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trials != 3 || res.Retried != 1 || len(res.Failures) != 0 {
-		t.Errorf("Trials/Retried/Failures = %d/%d/%d, want 3/1/0",
-			res.Trials, res.Retried, len(res.Failures))
-	}
-}
-
 // TestRunTrialsAllFailedReturnsJoinedError: when every trial fails, the
 // run fails with the join of all TrialErrors, lowest trial first.
 func TestRunTrialsAllFailedReturnsJoinedError(t *testing.T) {

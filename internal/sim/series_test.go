@@ -32,7 +32,7 @@ func TestRunTrialsSeriesIdenticalAcrossWorkers(t *testing.T) {
 		cfg.WindowSec = 0.1
 		cfg.Windows = 3
 		cfg.Workers = workers
-		cfg.Series = true
+		cfg.Stats = true
 		res, err := sim.RunTrials(cfg, greedyFactory(), trials)
 		if err != nil {
 			t.Fatal(err)
@@ -52,26 +52,28 @@ func TestRunTrialsSeriesIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSeriesOffKeepsNil pins the zero-cost default, and that Series alone
-// (Stats off) still brings up the registry it samples.
+// TestSeriesOffKeepsNil pins the zero-cost default and the one switch:
+// with Stats off a run carries neither a registry nor a series, and with
+// Stats on it carries both, the series sampled once per window.
 func TestSeriesOffKeepsNil(t *testing.T) {
 	cfg := sim.DefaultConfig(5, 23)
 	cfg.WindowSec = 0.1
+	cfg.Windows = 2
 	res, err := sim.Run(cfg, greedyFactory())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Series != nil {
-		t.Fatal("Series should be nil when Config.Series is off")
+	if res.Obs != nil || res.Series != nil {
+		t.Fatal("Obs and Series should be nil when Stats is off")
 	}
 
-	cfg.Series = true
+	cfg.Stats = true
 	res, err = sim.Run(cfg, greedyFactory())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Series == nil || res.Obs == nil {
-		t.Fatal("Series run should carry both the series and the registry it samples")
+	if res.Obs == nil || res.Series == nil {
+		t.Fatal("a Stats run should carry both the registry and its series")
 	}
 	if res.Series.Len() != cfg.Windows {
 		t.Fatalf("series has %d windows, want %d", res.Series.Len(), cfg.Windows)
@@ -111,7 +113,7 @@ func TestMonitorObservesWithoutPerturbing(t *testing.T) {
 	base := sim.DefaultConfig(10, 24)
 	base.WindowSec = 0.1
 	base.Windows = 2
-	base.Series = true
+	base.Stats = true
 	base.Workers = 4
 
 	clean, err := sim.RunTrials(base, greedyFactory(), trials)

@@ -63,12 +63,6 @@ type Config struct {
 	// a config with every intensity zero, is an exact no-op: outputs are
 	// byte-identical to a run without fault injection.
 	Faults *faults.Config
-	// Retry re-executes a failed (errored or panicking) trial from its seed
-	// up to this many times before RunTrials records it as a TrialError.
-	// Every attempt is a pure function of (config, derived seed), so a
-	// successful retry pools exactly what an unfailed attempt would have.
-	// Default 0.
-	Retry int
 	// Trace, when non-nil, receives structured protocol events
 	// (discoveries, matches, streams, completions). Nil disables tracing
 	// at zero cost. Pooled runs replay per-trial captures into this
@@ -76,17 +70,13 @@ type Config struct {
 	Trace *trace.Recorder
 	// Stats, when true, gives every trial an obs.Registry recording
 	// per-layer statistics (control frames, collisions, per-MCS airtime,
-	// beam switches, refresh sizes, fault events, matches/break-ups);
-	// pooled registries merge in trial order into Result.Obs. False (the
-	// default) keeps every instrumented hot path a zero-cost no-op.
+	// beam switches, refresh sizes, fault events, matches/break-ups) and
+	// samples it at every measurement-window boundary into an obs.Series
+	// of per-window deltas. Registries and series merge slot-per-trial
+	// into Result.Obs and Result.Series, so both exports are
+	// byte-identical for any worker count. False (the default) keeps every
+	// instrumented hot path a zero-cost no-op.
 	Stats bool
-	// Series, when true, additionally samples the statistics registry at
-	// every measurement-window boundary into an obs.Series of per-window
-	// deltas (implies the registry itself, so Series works with Stats off).
-	// Per-trial series merge slot-per-trial into Result.Series exactly like
-	// registries, so series exports are byte-identical for any worker
-	// count. False (the default) costs nothing.
-	Series bool
 	// Monitor, when non-nil, receives live notifications at window and
 	// trial boundaries (see the Monitor interface). Like Workers or Trace
 	// it only changes how a run is observed, never what it computes, so it
@@ -140,8 +130,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: negative warmup %v", c.WarmupSec)
 	case c.Workers < 0:
 		return fmt.Errorf("sim: negative worker count %d", c.Workers)
-	case c.Retry < 0:
-		return fmt.Errorf("sim: negative retry budget %d", c.Retry)
 	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(); err != nil {
@@ -249,18 +237,13 @@ type Result struct {
 	// Trials is the number of successful trials pooled into this result
 	// (1 for a single Run).
 	Trials int
-	// Retried counts trial re-executions performed under Config.Retry, and
-	// Failures lists trials abandoned after the retry budget (in trial
-	// order). Both are zero/nil for a single Run.
-	Retried  int
+	// Failures lists the trials that crashed or errored, in trial order;
+	// nil for a single Run.
 	Failures []*TrialError
-	// Obs carries the run's layer statistics when Config.Stats (or
-	// Config.Series, which implies the registry) was set, pooled in trial
-	// order for a RunTrials result; nil otherwise.
-	Obs *obs.Registry
-	// Series carries the run's windowed statistics deltas when
-	// Config.Series was set (pooled in trial order for a RunTrials
-	// result); nil otherwise.
+	// Obs and Series carry the run's layer statistics and their per-window
+	// deltas when Config.Stats was set, pooled in trial order for a
+	// RunTrials result; nil otherwise.
+	Obs    *obs.Registry
 	Series *obs.Series
 }
 
@@ -326,10 +309,8 @@ func NewEnvWithWorld(cfg Config, w *world.World) (*Env, error) {
 		DemandBits: cfg.DemandBits,
 		Trace:      cfg.Trace,
 	}
-	if cfg.Stats || cfg.Series {
+	if cfg.Stats {
 		env.Obs = obs.New()
-	}
-	if cfg.Series {
 		env.Series = obs.NewSeries()
 	}
 	// SetObs calls are nil-safe: with Stats off they hand every layer nil

@@ -14,8 +14,7 @@ import (
 	"strings"
 )
 
-// TrialError describes one trial abandoned by RunTrials after exhausting
-// the Config.Retry budget.
+// TrialError describes one trial RunTrials lost to a panic or error.
 type TrialError struct {
 	// Scenario is a human-readable summary of the failing configuration.
 	Scenario string
@@ -82,7 +81,7 @@ func (e *TrialError) Repro() string {
 }
 
 // PanicError wraps a value recovered from a panicking trial so it can
-// travel as an error through the retry and aggregation machinery.
+// travel as an error through the aggregation machinery.
 type PanicError struct {
 	Value any
 	Stack string

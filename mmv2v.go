@@ -65,9 +65,9 @@ type ADParams = baseline.ADParams
 // one to ScenarioConfig.Faults to stress a run; see internal/faults.
 type FaultConfig = faults.Config
 
-// TrialError describes one trial abandoned by RunTrials after its retry
-// budget: the scenario, trial index, derived seed, captured stack and a
-// one-line repro command (TrialError.Repro). Collected in Result.Failures.
+// TrialError describes one trial RunTrials lost to a panic or error: the
+// scenario, trial index, derived seed, captured stack and a one-line repro
+// command (TrialError.Repro). Collected in Result.Failures.
 type TrialError = sim.TrialError
 
 // Protocol is a runnable OHM scheme bound to a scenario environment.

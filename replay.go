@@ -1,7 +1,7 @@
-// Run logs and byte-identical replay (DESIGN.md §11). A run log is an
-// append-only record file (internal/persist log format) that captures a
-// pooled RunTrials execution completely enough to re-render its results
-// without re-simulating — and to re-verify them against a live re-execution:
+// Run logs and byte-identical replay (DESIGN.md §11). A run log is a
+// record file (internal/persist log format) that captures a pooled
+// RunTrials execution completely enough to re-render its results without
+// re-simulating — and to re-verify them against a live re-execution:
 //
 //   - a header record holding the scenario recipe (world, density or grid,
 //     seed, windows, demand, fault intensity, protocol and its parameters)
@@ -12,9 +12,11 @@
 //     the trial merge needs;
 //   - an end record with the successful-trial count.
 //
-// Every record is CRC-framed by the container, so torn tails (a crash
-// mid-append) are detected and earlier records survive; interior bit flips
-// surface as structured checksum errors, never panics. Replay reconstructs
+// The log is built in memory and written once, atomically, after the run,
+// so a complete log always ends in its end record. Every record is
+// CRC-framed by the container: a cut-short file fails with
+// persist.ErrTruncated and a bit flip with a structured checksum error,
+// never a panic. Replay reconstructs
 // the per-trial results and re-pools them through the same merge the live
 // run used, so the rendered tables are byte-identical. Verification re-runs
 // every trial from the recipe and diffs per-window digests, reporting the
@@ -241,30 +243,31 @@ type RunLog struct {
 	Header      RunLogHeader
 	Fingerprint uint64
 	// PerTrial holds the reconstructed per-trial results, indexed by trial;
-	// nil slots are trials the recorded run lost (or that a torn tail cut
-	// off). Digests holds the recorded per-window digests per trial.
+	// nil slots are trials the recorded run lost. Digests holds the
+	// recorded per-window digests per trial.
 	PerTrial []*Result
 	Digests  [][]uint64
-	// Truncated reports that the log ended in a torn tail (crash mid-
-	// append); the records before the tear are still loaded.
-	Truncated bool
 }
 
 // ReadRunLog parses and validates a run log file. Window records are
 // re-digested on load, so any corruption that slipped past the per-record
 // CRC still surfaces as a structured error. Corrupted input returns an
-// error, never panics.
+// error, never panics; a log cut short anywhere fails with an error
+// wrapping persist.ErrTruncated.
 func ReadRunLog(path string) (*RunLog, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("mmv2v: run log: %w", err)
 	}
-	recs, truncated, err := persist.ReadLog(data)
+	recs, err := persist.ReadLog(data)
 	if err != nil {
 		return nil, fmt.Errorf("mmv2v: run log %s: %w", path, err)
 	}
-	if len(recs) == 0 || recs[0].Type != runLogHeaderRec {
-		return nil, fmt.Errorf("mmv2v: run log %s: %w: missing header record", path, persist.ErrCorrupt)
+	if len(recs) == 0 {
+		return nil, fmt.Errorf("mmv2v: run log %s: %w: missing header record", path, persist.ErrTruncated)
+	}
+	if recs[0].Type != runLogHeaderRec {
+		return nil, fmt.Errorf("mmv2v: run log %s: %w: first record is not the header", path, persist.ErrCorrupt)
 	}
 	hd := persist.NewDecoder(recs[0].Payload)
 	header, fingerprint := decodeRunLogHeader(hd)
@@ -282,7 +285,6 @@ func ReadRunLog(path string) (*RunLog, error) {
 		Fingerprint: fingerprint,
 		PerTrial:    make([]*Result, header.Trials),
 		Digests:     make([][]uint64, header.Trials),
-		Truncated:   truncated,
 	}
 	// windows accumulates per-trial window records until the trial record
 	// seals them into PerTrial.
@@ -372,11 +374,9 @@ func ReadRunLog(path string) (*RunLog, error) {
 		}
 	}
 	if !ended {
-		// A torn tail legitimately loses the end record (and possibly the
-		// last trial's seal); anything else is corruption.
-		if !truncated {
-			return nil, fmt.Errorf("mmv2v: run log %s: %w: missing end record without a torn tail", path, persist.ErrCorrupt)
-		}
+		// The writer always ends a log with its end record, so a log
+		// without one was cut short at a record boundary.
+		return nil, fmt.Errorf("mmv2v: run log %s: %w: missing end record", path, persist.ErrTruncated)
 	}
 	if sealed == 0 {
 		return nil, fmt.Errorf("mmv2v: run log %s: %w: no complete trial", path, persist.ErrCorrupt)

@@ -1,5 +1,5 @@
 // End-to-end tests of replay and recovery by re-execution (DESIGN.md §11):
-// a crashed trial retried from its seed and a logged run re-executed by
+// a crashed trial re-executed from its seed and a logged run re-executed by
 // replay -verify must both reproduce the uninterrupted run byte for byte,
 // for any worker count, and every run-log decode path must turn corrupted
 // input into structured errors, never panics.
@@ -7,12 +7,12 @@ package mmv2v_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"mmv2v"
@@ -32,9 +32,9 @@ func replayScenario(seed uint64) mmv2v.ScenarioConfig {
 	return cfg
 }
 
-// comparable strips a Result to the deterministic fields the byte-identity
-// contract covers (Obs holds pointers and Retried/Failures describe the
-// execution, not the outcome).
+// comparableResult strips a Result to the deterministic fields the
+// byte-identity contract covers (Obs holds pointers and Failures describe
+// the execution, not the outcome).
 type comparableResult struct {
 	Protocol      string
 	Windows       []mmv2v.WindowResult
@@ -82,13 +82,11 @@ func seriesExport(t *testing.T, res *mmv2v.Result) []byte {
 	return buf.Bytes()
 }
 
-// crashOnce wraps a factory so the trial whose derived seed is target
-// panics at a seed-hashed frame past its first window, on its first
-// attempt only. The crash lands mid-run, after the attempt has mutated its
-// whole environment, so a retry that leaked any state from the crashed
-// attempt would show in the pooled tables.
-func crashOnce(f mmv2v.Factory, target uint64, framesPerWindow, windows int) mmv2v.Factory {
-	var fired atomic.Bool
+// crashAt wraps a factory so the trial whose derived seed is target panics
+// at a seed-hashed frame past its first window. The crash lands mid-run,
+// after the trial has mutated its whole environment, so any state it
+// leaked into the other trials would show in the pooled tables.
+func crashAt(f mmv2v.Factory, target uint64, framesPerWindow, windows int) mmv2v.Factory {
 	return func(env *sim.Env) sim.Protocol {
 		inner := f(env)
 		if env.Seed != target {
@@ -97,59 +95,81 @@ func crashOnce(f mmv2v.Factory, target uint64, framesPerWindow, windows int) mmv
 		return &crashingProto{
 			Protocol:   inner,
 			crashFrame: framesPerWindow + int(env.Seed%uint64(framesPerWindow*(windows-1))),
-			fired:      &fired,
 		}
 	}
 }
 
-// crashingProto delegates to a real protocol and panics at crashFrame the
-// first time any attempt reaches it.
+// crashingProto delegates to a real protocol and panics at crashFrame.
 type crashingProto struct {
 	sim.Protocol
 	crashFrame int
-	fired      *atomic.Bool
 }
 
 func (p *crashingProto) RunFrame(frame int) {
-	if frame == p.crashFrame && p.fired.CompareAndSwap(false, true) {
+	if frame == p.crashFrame {
 		panic(fmt.Sprintf("torture: injected crash at frame %d", frame))
 	}
 	p.Protocol.RunFrame(frame)
 }
 
-// TestCrashRetryTortureByteIdentical is the torture smoke for recovery by
-// re-execution: one trial panics mid-run at a seed-hashed frame, Retry: 1
-// re-executes it from its seed, and the pooled tables and series must
-// still be byte-identical to a clean run — across worker counts.
-func TestCrashRetryTortureByteIdentical(t *testing.T) {
-	const trials = 3
+// windowBytes is a result's windows in the canonical run-log encoding.
+func windowBytes(r *mmv2v.Result) []byte {
+	var e persist.Encoder
+	for _, w := range r.Windows {
+		sim.EncodeWindowResult(&e, w)
+	}
+	return e.Bytes()
+}
+
+// TestCrashReexecutionByteIdentical is the torture smoke for recovery by
+// re-execution: one trial panics mid-run at a seed-hashed frame, and the
+// other trials' pooled tables and series must equal the merge of their
+// clean per-trial results with the crashed slot left empty — across worker
+// counts. Re-running the crashed trial alone from its TrialError seed must
+// then reproduce the clean trial byte for byte.
+func TestCrashReexecutionByteIdentical(t *testing.T) {
+	const trials, crashed = 3, 1
 	base := replayScenario(77)
-	base.Series = true
-	framesPerWindow := int(base.WindowSec / base.Timing.Frame.Seconds())
-	clean, err := mmv2v.RunTrials(base, mmv2v.MMV2V(mmv2v.DefaultParams()), trials)
-	if err != nil {
+	base.Stats = true
+	factory := mmv2v.MMV2V(mmv2v.DefaultParams())
+	clean := make([]*sim.Result, trials)
+	if _, err := sim.NewRunner(0).RunTrialsEach(base, factory, trials, func(tr int, r *sim.Result) { clean[tr] = r }); err != nil {
 		t.Fatal(err)
 	}
-	target := xrand.Mix(base.Seed, 1)
+	survivors := append([]*sim.Result(nil), clean...)
+	survivors[crashed] = nil
+	want := sim.MergeTrials(survivors)
+
+	framesPerWindow := int(base.WindowSec / base.Timing.Frame.Seconds())
+	target := xrand.Mix(base.Seed, crashed)
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			cfg := base
 			cfg.Workers = workers
-			cfg.Retry = 1
-			factory := crashOnce(mmv2v.MMV2V(mmv2v.DefaultParams()), target, framesPerWindow, cfg.Windows)
-			res, err := mmv2v.RunTrials(cfg, factory, trials)
+			res, err := mmv2v.RunTrials(cfg, crashAt(factory, target, framesPerWindow, cfg.Windows), trials)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Retried != 1 {
-				t.Errorf("retried = %d, want 1 (one trial crashes once)", res.Retried)
+			if len(res.Failures) != 1 || res.Failures[0].Trial != crashed || res.Failures[0].Seed != target {
+				t.Fatalf("failures = %v, want trial %d alone", res.Failures, crashed)
 			}
-			if len(res.Failures) != 0 {
-				t.Errorf("failures = %v", res.Failures)
+			requireSameResult(t, "survivors vs clean merge", want, res)
+			if got, want := seriesExport(t, res), seriesExport(t, want); !bytes.Equal(got, want) {
+				t.Fatal("survivors' series diverged from the clean merge")
 			}
-			requireSameResult(t, "crash-retried vs clean", clean, res)
-			if got, want := seriesExport(t, res), seriesExport(t, clean); !bytes.Equal(got, want) {
-				t.Fatal("crash-retried series diverged from the clean run")
+
+			rerun := cfg
+			rerun.Seed = res.Failures[0].Seed
+			again, err := mmv2v.Run(rerun, factory)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResult(t, "re-executed vs clean trial", clean[crashed], again)
+			if !bytes.Equal(windowBytes(again), windowBytes(clean[crashed])) {
+				t.Fatal("re-executed trial's windows differ from the clean trial's")
+			}
+			if got, want := seriesExport(t, again), seriesExport(t, clean[crashed]); !bytes.Equal(got, want) {
+				t.Fatal("re-executed trial's series differs from the clean trial's")
 			}
 		})
 	}
@@ -157,7 +177,7 @@ func TestCrashRetryTortureByteIdentical(t *testing.T) {
 
 // TestRunLogRoundTrip pins the replay contract end to end: a logged run
 // re-renders byte-identically, verifies against live re-execution at
-// several worker counts, detects tampering, and survives torn tails.
+// several worker counts, and detects truncation and tampering.
 func TestRunLogRoundTrip(t *testing.T) {
 	cfg := replayScenario(31)
 	h := mmv2v.RunLogHeader{
@@ -190,20 +210,17 @@ func TestRunLogRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A torn tail (the end record loses bytes) still replays the complete
-	// records before it.
+	// Logs are written whole, so a log cut short anywhere — inside a
+	// record or exactly between two — is an ErrTruncated error.
 	torn := filepath.Join(t.TempDir(), "torn.log")
-	if err := os.WriteFile(torn, data[:len(data)-5], 0o600); err != nil {
-		t.Fatal(err)
+	for _, cut := range truncationCuts(t, data) {
+		if err := os.WriteFile(torn, data[:cut], 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mmv2v.ReadRunLog(torn); !errors.Is(err, persist.ErrTruncated) {
+			t.Fatalf("log cut to %d of %d bytes: err = %v, want ErrTruncated", cut, len(data), err)
+		}
 	}
-	trl, err := mmv2v.ReadRunLog(torn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !trl.Truncated {
-		t.Error("torn log not flagged truncated")
-	}
-	requireSameResult(t, "torn-tail replay", live, trl.Result())
 
 	// An interior bit flip is real corruption: a structured error, never a
 	// panic, and never a silently different table.
@@ -241,14 +258,38 @@ func TestRunLogRoundTrip(t *testing.T) {
 	}
 }
 
+// truncationCuts lists lengths to cut a log to: every record boundary and
+// the bytes either side of it, plus a stride through the record bodies.
+func truncationCuts(t *testing.T, data []byte) []int {
+	t.Helper()
+	recs, err := persist.ReadLog(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const logHeader, recordHeader = 12, 9
+	var cuts []int
+	for cut := 0; cut < len(data); cut += 61 {
+		cuts = append(cuts, cut)
+	}
+	off := logHeader
+	for _, r := range recs {
+		cuts = append(cuts, off-1, off, off+1)
+		off += recordHeader + len(r.Payload)
+	}
+	if off != len(data) {
+		t.Fatalf("records span %d bytes, log has %d", off, len(data))
+	}
+	return append(cuts, len(data)-1)
+}
+
 // forgeWindowRecord rewrites the first window record of a run log: it
 // perturbs the window's AvgNeighbors, recomputes the digest so the log
 // stays self-consistent, and re-stamps the record CRC.
 func forgeWindowRecord(t *testing.T, data []byte) []byte {
 	t.Helper()
-	recs, truncated, err := persist.ReadLog(data)
-	if err != nil || truncated {
-		t.Fatalf("ReadLog: %v (truncated=%v)", err, truncated)
+	recs, err := persist.ReadLog(data)
+	if err != nil {
+		t.Fatalf("ReadLog: %v", err)
 	}
 	log := persist.NewLog()
 	forgedOne := false
@@ -290,9 +331,6 @@ func TestGoldenRunLogReplays(t *testing.T) {
 	rl, err := mmv2v.ReadRunLog(filepath.Join("testdata", "golden.runlog"))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if rl.Truncated {
-		t.Error("golden log has a torn tail")
 	}
 	res := rl.Result()
 	if res.Trials != rl.Header.Trials {

@@ -20,11 +20,9 @@ type TraceKind = trace.Kind
 // Trace event kinds.
 const (
 	TraceDiscovery   = trace.KindDiscovery
-	TraceNegotiation = trace.KindNegotiation
 	TraceMatch       = trace.KindMatch
 	TraceBreakup     = trace.KindBreakup
 	TraceStreamStart = trace.KindStreamStart
-	TraceStreamStop  = trace.KindStreamStop
 	TraceRate        = trace.KindRate
 	TraceCompletion  = trace.KindCompletion
 	TraceAssociation = trace.KindAssociation
